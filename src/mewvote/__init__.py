@@ -6,7 +6,7 @@ winning-probability winners, a brute-force possible-worlds oracle, synthetic
 profile generators, and a tagged JSON profile format.
 """
 
-from .engine import MewResult, MewStats, ScoreBounds, expected_regret, expected_score, mew, mew_parallel
+from .engine import MewResult, MewStats, expected_regret, expected_score, mew, mew_parallel
 from .errors import (
     CoverWidthExceeded,
     CycleDetected,

@@ -10,13 +10,9 @@ import time
 from dataclasses import dataclass
 
 from .engine import mew, mew_parallel
-from .errors import ValidationError
-from .generators import GenSpec, generate
-from .models import MallowsModel
+from .generators import GenSpec, cover_width_profile, generate
 from .mpw import mpw
-from .preferences import PartialOrder
 from .profiles import Profile
-from .rep import Voter
 from .rules import parse_rule
 
 CSV_COLUMNS = (
@@ -42,22 +38,6 @@ class BenchRun:
     b: int = 0
     cw: int = 0                # > 0 selects the fixed-cover-width profile family
     seed: int = 0
-
-
-def cover_width_profile(m: int, n: int, width: int, phi: float, seed: int) -> Profile:
-    """Profiles whose posets pin the insertion DP's tracked-item count to ``width``.
-
-    The first ``width`` reference items are each preferred to the last one, so
-    all of them stay tracked until the final insertion.
-    """
-    if not 1 <= width <= m - 1:
-        raise ValidationError(f"cover width must be in [1, {m - 1}], got {width}")
-    from .generators import _candidates
-
-    pairs = [(i, m - 1) for i in range(width)]
-    model = MallowsModel(tuple(range(m)), phi)
-    voters = [Voter(model, PartialOrder(pairs)) for _ in range(n)]
-    return Profile(_candidates(m), voters)
 
 
 def build_profile(run: BenchRun) -> Profile:

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 input error, 2 resource-cap error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -89,13 +90,7 @@ def _cmd_mew(args) -> int:
             "expected_scores": result.expected_scores,
             "bounds": {k: list(v) for k, v in result.bounds.items()},
             "pruned": list(result.pruned),
-            "stats": {
-                "voters": result.stats.voters,
-                "groups": result.stats.groups,
-                "prunings": result.stats.prunings,
-                "seconds": result.stats.seconds,
-                "workers": result.stats.workers,
-            },
+            "stats": dataclasses.asdict(result.stats),
         }
         print(json.dumps(doc, indent=2))
     else:

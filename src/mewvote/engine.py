@@ -1,12 +1,14 @@
 """Profile-level expected-score aggregation and winner determination.
 
-The sequential solver groups identical voters into weighted groups, seeds
-per-candidate score bounds from best/worst attainable ranks, then replaces
-each group's bound contribution with its exact expected score, pruning
-candidates whose upper bound falls below the best lower bound.  Pruning and
-grouping never change the winner set; the parallel mode trades pruning for a
-deterministic ordered reduction across worker processes, so its output is
-bit-identical for any worker count.
+One loop computes every result: identical voters are grouped into weighted
+groups, and each group in turn adds its weighted exact expected score to every
+candidate still alive.  With pruning on, per-candidate score bounds are first
+seeded from best/worst attainable ranks; each group's exact contribution then
+replaces its bound contribution, and candidates whose upper bound falls below
+the best lower bound are dropped.  Pruning and grouping never change the
+winner set.  The parallel mode computes the groups' score vectors across
+worker processes and runs the same loop with pruning off, so its output is
+bit-identical for any worker count and equals ``mew(pruning=False)``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
+from typing import Callable
 
 import numpy as np
 
@@ -22,19 +25,10 @@ from .errors import InvalidRule
 from .preferences import rank_bounds
 from .profiles import Profile
 from .rep import Voter, rep_dispatch
-from .rules import ScoringRule
+from .rules import ScoringRule, check_rule_size
 
 WINNER_REL_TOL = 1e-9
 PRUNE_REL_TOL = 1e-9
-
-
-@dataclass
-class ScoreBounds:
-    """Running per-candidate bounds; ``resolved`` marks fully exact scores."""
-
-    ub: dict[int, float]
-    lb: dict[int, float]
-    resolved: dict[int, bool]
 
 
 @dataclass(frozen=True)
@@ -86,11 +80,6 @@ def _grouped(profile: Profile, grouping: bool) -> list[_Group]:
     return groups
 
 
-def _check_rule(profile: Profile, rule: ScoringRule) -> None:
-    if rule.m != profile.m:
-        raise InvalidRule(f"rule has {rule.m} ranks, profile has {profile.m} candidates")
-
-
 def _winner_ids(profile: Profile, scores: dict[int, float]) -> tuple[str, ...]:
     top = max(scores.values())
     tol = WINNER_REL_TOL * max(1.0, abs(top))
@@ -98,131 +87,123 @@ def _winner_ids(profile: Profile, scores: dict[int, float]) -> tuple[str, ...]:
                  if scores[c] >= top - tol)
 
 
+def _seed_bounds(groups: list[_Group], rule: ScoringRule) -> tuple[np.ndarray, np.ndarray]:
+    """Per-(group, candidate) scores at the best and the worst attainable rank."""
+    m = rule.m
+    best = np.empty((len(groups), m))
+    worst = np.empty((len(groups), m))
+    for gi, g in enumerate(groups):
+        for c in range(m):
+            b, w = rank_bounds(c, g.voter.observation, m)
+            best[gi, c] = rule.scores[b - 1]
+            worst[gi, c] = rule.scores[w - 1]
+    return best, worst
+
+
+def _survivors(alive: set[int], ub: list[float], lb: list[float]) -> set[int]:
+    max_lb = max(lb[c] for c in alive)
+    eps = PRUNE_REL_TOL * max(1.0, abs(max_lb))
+    return {c for c in alive if ub[c] >= max_lb - eps}
+
+
+def _solve(profile: Profile, rule: ScoringRule, groups: list[_Group],
+           group_scores: Callable[[int, list[int]], list[float]], pruning: bool,
+           t0: float, workers: int = 1) -> MewResult:
+    """The engine loop; ``group_scores(gi, cands)`` are the exact scores of
+    candidates ``cands`` from one voter of group ``gi``."""
+    m = profile.m
+    alive = set(range(m))
+    exact = [0.0] * m
+    groups_done = [0] * m
+    if pruning:
+        best, worst = _seed_bounds(groups, rule)
+        weights = np.array([g.weight for g in groups], dtype=float)
+        ub = [float(v) for v in weights @ best]
+        lb = [float(v) for v in weights @ worst]
+        alive = _survivors(alive, ub, lb)
+
+    for gi, g in enumerate(groups):
+        if len(alive) == 1:  # only pruning gets here, since m >= 2
+            break
+        cands = sorted(alive)
+        for c, e in zip(cands, group_scores(gi, cands)):
+            exact[c] += g.weight * e
+            groups_done[c] += 1
+            if pruning:
+                ub[c] += g.weight * (e - best[gi, c])
+                lb[c] += g.weight * (e - worst[gi, c])
+        if pruning:
+            alive = _survivors(alive, ub, lb)
+
+    # a score is fully determined once all groups contributed exactly, or once
+    # the optimistic and pessimistic bounds coincide (only pruning leaves a
+    # group out); a pruned candidate's bounds are the ones it was pruned at,
+    # since it is never refined again
+    score_of: dict[int, float] = {}
+    open_bounds: dict[int, tuple[float, float]] = {}
+    for c in range(m):
+        if groups_done[c] == len(groups):
+            score_of[c] = exact[c]
+        elif ub[c] == lb[c]:
+            score_of[c] = ub[c]
+        else:
+            open_bounds[c] = (lb[c], ub[c])
+    ids = profile.candidates.ids
+    if alive <= score_of.keys():
+        winners = _winner_ids(profile, {c: score_of[c] for c in alive})
+    else:  # early return: a single survivor with partially refined bounds
+        winners = tuple(ids[c] for c in sorted(alive))
+    pruned = tuple(ids[c] for c in range(m) if c not in alive)
+    stats = MewStats(voters=profile.n, groups=len(groups), prunings=len(pruned),
+                     seconds=time.perf_counter() - t0, workers=workers)
+    return MewResult(winners, {ids[c]: s for c, s in score_of.items()},
+                     {ids[c]: b for c, b in open_bounds.items()}, pruned, stats)
+
+
 def mew(profile: Profile, rule: ScoringRule, *,
         pruning: bool = True, grouping: bool = True) -> MewResult:
     """Most-expected-winner set; identical for every pruning/grouping setting."""
     t0 = time.perf_counter()
-    _check_rule(profile, rule)
-    m = profile.m
+    check_rule_size(rule, profile.m)
     groups = _grouped(profile, grouping)
-
-    # seed bounds from best/worst attainable ranks, weighted per group
-    best_score = np.empty((len(groups), m))
-    worst_score = np.empty((len(groups), m))
-    for gi, g in enumerate(groups):
-        for c in range(m):
-            b, w = rank_bounds(c, g.voter.observation, m)
-            best_score[gi, c] = rule.scores[b - 1]
-            worst_score[gi, c] = rule.scores[w - 1]
-    weights = np.array([g.weight for g in groups], dtype=float)
-    state = ScoreBounds(
-        ub={c: float(v) for c, v in enumerate(weights @ best_score)},
-        lb={c: float(v) for c, v in enumerate(weights @ worst_score)},
-        resolved={c: False for c in range(m)},
-    )
-    ub, lb = state.ub, state.lb
-
-    alive = set(range(m))
-    exact = {c: 0.0 for c in range(m)}
-    groups_done = {c: 0 for c in range(m)}
-    bounds_at_prune: dict[int, tuple[float, float]] = {}
-    prunings = 0
-
-    def prune_now() -> bool:
-        nonlocal prunings
-        max_lb = max(lb[c] for c in alive)
-        eps = PRUNE_REL_TOL * max(1.0, abs(max_lb))
-        for c in sorted(alive):
-            if ub[c] < max_lb - eps:
-                alive.remove(c)
-                bounds_at_prune[c] = (lb[c], ub[c])
-                prunings += 1
-        return len(alive) == 1
-
-    done_early = prune_now() if pruning else False
-    if not done_early:
-        for gi, g in enumerate(groups):
-            for c in sorted(alive):
-                e = expected_score(c, g.voter, rule)
-                exact[c] += g.weight * e
-                ub[c] += g.weight * (e - best_score[gi, c])
-                lb[c] += g.weight * (e - worst_score[gi, c])
-                groups_done[c] += 1
-            if pruning and prune_now():
-                done_early = True
-                break
-
-    # a score is fully determined once all groups contributed exactly, or once
-    # the optimistic and pessimistic bounds coincide
-    for c in range(m):
-        state.resolved[c] = groups_done[c] == len(groups) or ub[c] == lb[c]
-    resolved = state.resolved
-    score_of = {c: exact[c] if groups_done[c] == len(groups) else ub[c]
-                for c in range(m)}
-    if all(resolved[c] for c in alive):
-        winners = _winner_ids(profile, {c: score_of[c] for c in alive})
-    else:  # early return: a single survivor with partially refined bounds
-        winners = tuple(profile.candidates.ids[c] for c in sorted(alive))
-
-    ids = profile.candidates.ids
-    expected_scores = {ids[c]: score_of[c] for c in range(m) if resolved[c]}
-    bounds = {ids[c]: bounds_at_prune.get(c, (lb[c], ub[c]))
-              for c in range(m) if not resolved[c]}
-    pruned = tuple(ids[c] for c in sorted(bounds_at_prune))
-    stats = MewStats(voters=profile.n, groups=len(groups), prunings=prunings,
-                     seconds=time.perf_counter() - t0)
-    return MewResult(winners, expected_scores, bounds, pruned, stats)
+    return _solve(profile, rule, groups,
+                  lambda gi, cands: [expected_score(c, groups[gi].voter, rule) for c in cands],
+                  pruning, t0)
 
 
 # ---------------------------------------------------------------------------
 # Deterministic parallel mode (pruning off)
 
 
-def _score_chunk(args) -> list[tuple[int, list[float]]]:
-    chunk, rule = args
-    out = []
-    for gi, voter in chunk:
-        out.append((gi, [expected_score(c, voter, rule) for c in range(rule.m)]))
-    return out
+def _score_chunk(chunk: list[tuple[int, Voter]],
+                 rule: ScoringRule) -> list[tuple[int, list[float]]]:
+    return [(gi, [expected_score(c, voter, rule) for c in range(rule.m)])
+            for gi, voter in chunk]
 
 
 def mew_parallel(profile: Profile, rule: ScoringRule, workers: int = 1) -> MewResult:
     """Winner determination with voter groups split across worker processes.
 
-    Per-group score vectors are combined in group-index order, so the result
-    is bit-identical for any worker count and equals ``mew(pruning=False)``.
+    Each group's score vector is computed in a worker, then the engine loop
+    runs with pruning off, so the result is bit-identical for any worker count
+    and equals ``mew(pruning=False)``.
     """
     t0 = time.perf_counter()
-    _check_rule(profile, rule)
+    check_rule_size(rule, profile.m)
     if workers < 1:
         raise InvalidRule(f"workers must be >= 1, got {workers}")
-    m = profile.m
     groups = _grouped(profile, grouping=True)
     indexed = list(enumerate(g.voter for g in groups))
-
-    if workers == 1:
-        results = _score_chunk((indexed, rule))
+    chunks = [indexed[i::workers] for i in range(min(workers, len(indexed)))]
+    if len(chunks) < 2:  # a pool would run everything on one worker anyway
+        vectors = dict(_score_chunk(indexed, rule))
     else:
-        chunks = [indexed[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
         ctx = get_context("fork")
         with ProcessPoolExecutor(max_workers=len(chunks), mp_context=ctx) as ex:
-            results = []
-            for part in ex.map(_score_chunk, [(c, rule) for c in chunks]):
-                results.extend(part)
-
-    by_group = dict(results)
-    exact = {c: 0.0 for c in range(m)}
-    for gi, g in enumerate(groups):
-        vec = by_group[gi]
-        for c in range(m):
-            exact[c] += g.weight * vec[c]
-
-    winners = _winner_ids(profile, exact)
-    ids = profile.candidates.ids
-    stats = MewStats(voters=profile.n, groups=len(groups), prunings=0,
-                     seconds=time.perf_counter() - t0, workers=workers)
-    return MewResult(winners, {ids[c]: exact[c] for c in range(m)}, {}, (), stats)
+            parts = ex.map(_score_chunk, chunks, [rule] * len(chunks))
+            vectors = {gi: vec for part in parts for gi, vec in part}
+    return _solve(profile, rule, groups, lambda gi, cands: [vectors[gi][c] for c in cands],
+                  pruning=False, t0=t0, workers=workers)
 
 
 def expected_regret(c: int, profile: Profile, rule: ScoringRule,
@@ -230,5 +211,5 @@ def expected_regret(c: int, profile: Profile, rule: ScoringRule,
     """Expected (best-in-world score minus c's score); minimized by the winners."""
     from .oracle import oracle_expected_regret
 
-    _check_rule(profile, rule)
+    check_rule_size(rule, profile.m)
     return oracle_expected_regret(c, profile, rule, cap)

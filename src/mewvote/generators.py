@@ -62,6 +62,20 @@ def _candidates(m: int) -> CandidateSet:
     return CandidateSet(tuple(f"c{i + 1}" for i in range(m)))
 
 
+def cover_width_profile(m: int, n: int, width: int, phi: float, seed: int) -> Profile:
+    """Profiles whose posets pin the insertion DP's tracked-item count to ``width``.
+
+    The first ``width`` reference items are each preferred to the last one, so
+    all of them stay tracked until the final insertion.
+    """
+    if not 1 <= width <= m - 1:
+        raise ValidationError(f"cover width must be in [1, {m - 1}], got {width}")
+    pairs = [(i, m - 1) for i in range(width)]
+    model = MallowsModel(tuple(range(m)), phi)
+    voters = [Voter(model, PartialOrder(pairs)) for _ in range(n)]
+    return Profile(_candidates(m), voters)
+
+
 def _voter_rngs(spec: GenSpec) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(spec.n)]
 

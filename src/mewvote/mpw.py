@@ -18,10 +18,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import InvalidRule, TooLarge
+from .errors import TooLarge
 from .profiles import Profile
 from .rep import Voter, rep_dispatch, voter_support
-from .rules import ScoringRule, integer_scores
+from .rules import ScoringRule, check_rule_size, integer_scores
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,7 @@ def mpw(profile: Profile, rule: ScoringRule, *,
         state_cap: int = STATE_CAP, support_cap: int = 1_000_000) -> MpwResult:
     """Winning probability of every candidate over the possible worlds."""
     t0 = time.perf_counter()
-    if rule.m != profile.m:
-        raise InvalidRule(f"rule has {rule.m} ranks, profile has {profile.m} candidates")
+    check_rule_size(rule, profile.m)
     m = profile.m
     int_scores = integer_scores(rule)
 

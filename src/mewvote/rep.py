@@ -170,40 +170,13 @@ def rep_rim(c: int, model: RimModel) -> RankDistribution:
 # Selection-model DP
 
 
-def rep_rsm(c: int, k: int, model: RsmRankingModel) -> float:
-    """Probability that the selection process places ``c`` at rank ``k``.
-
-    States are the number of remaining reference items on each side of the
-    target; the target itself must be selected at step ``k``.
-    """
-    m = model.m
-    if not 1 <= k <= m:
-        raise RankOutOfRange(f"rank {k} outside [1, {m}]")
-    alpha0 = model.sigma.index(c)
-    q = {alpha0: 1.0}
-    for i in range(1, k):
-        row = model.pi[i - 1]
-        pref = [0.0]
-        for p in row:
-            pref.append(pref[-1] + p)
-        nq: dict[int, float] = {}
-        for alpha, mass in q.items():
-            beta = m - i - alpha  # remaining items after the target
-            if alpha > 0:
-                left = pref[alpha]
-                if left:
-                    nq[alpha - 1] = nq.get(alpha - 1, 0.0) + mass * left
-            if beta > 0:
-                right = pref[alpha + 1 + beta] - pref[alpha + 1]
-                if right:
-                    nq[alpha] = nq.get(alpha, 0.0) + mass * right
-        q = nq
-    row = model.pi[k - 1]
-    return sum(mass * row[alpha] for alpha, mass in q.items())
-
-
 def rsm_rank_distribution(c: int, model: RsmRankingModel) -> RankDistribution:
-    """All ranks of one candidate in a single forward pass over the steps."""
+    """All ranks of one candidate in a single forward pass over the steps.
+
+    States are the number of remaining reference items before the target (the
+    number after it follows from the step); the probability of rank ``i`` is
+    the mass of selecting the target itself at step ``i``.
+    """
     m = model.m
     alpha0 = model.sigma.index(c)
     probs = np.zeros(m)
@@ -229,6 +202,13 @@ def rsm_rank_distribution(c: int, model: RsmRankingModel) -> RankDistribution:
                     nq[alpha] = nq.get(alpha, 0.0) + mass * right
         q = nq
     return probs
+
+
+def rep_rsm(c: int, k: int, model: RsmRankingModel) -> float:
+    """Probability that the selection process places ``c`` at rank ``k``."""
+    if not 1 <= k <= model.m:
+        raise RankOutOfRange(f"rank {k} outside [1, {model.m}]")
+    return float(rsm_rank_distribution(c, model)[k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +473,7 @@ def uniform_poset_distribution(c: int, p: PartialOrder, m: int) -> RankDistribut
 # Dispatch
 
 
-def rep_dispatch(c: int, voter: Voter, m: int, *,
-                 cw_cap: int = COVER_WIDTH_CAP,
-                 uniform_poset_limit: int = UNIFORM_POSET_DP_LIMIT) -> RankDistribution:
+def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
     """Route one (candidate, voter) query to the cheapest applicable solver."""
     model, obs = voter.model, voter.observation
 
@@ -516,9 +494,9 @@ def rep_dispatch(c: int, voter: Voter, m: int, *,
         if isinstance(obs, TruncatedRanking):
             return rep_truncated(c, obs, m)
         if isinstance(obs, PartialOrder):
-            if m <= uniform_poset_limit:
+            if m <= UNIFORM_POSET_DP_LIMIT:
                 return uniform_poset_distribution(c, obs, m)
-            return rep_rim_poset(c, uniform_rim(tuple(range(m))), obs, cw_cap=cw_cap)
+            return rep_rim_poset(c, uniform_rim(tuple(range(m))), obs)
         raise Unsupported(f"unknown observation type {type(obs).__name__}")
 
     if isinstance(model, MallowsModel):
@@ -528,15 +506,14 @@ def rep_dispatch(c: int, voter: Voter, m: int, *,
             return rep_mallows_partitioned(c, model, obs, m)
         if isinstance(obs, TruncatedRanking):
             return rep_mallows_partitioned(c, model, obs.to_partitioned(m), m)
-        return rep_rim_poset(c, mallows_to_rim(model),
-                             PartialOrder(observation_pairs(obs)), cw_cap=cw_cap)
+        return rep_rim_poset(c, mallows_to_rim(model), PartialOrder(observation_pairs(obs)))
 
     if isinstance(model, RimModel):
         if obs is None:
             return rep_rim(c, model)
         if isinstance(obs, TruncatedRanking):
             return rep_rim_truncated(c, model, obs)
-        return rep_rim_poset(c, model, PartialOrder(observation_pairs(obs)), cw_cap=cw_cap)
+        return rep_rim_poset(c, model, PartialOrder(observation_pairs(obs)))
 
     raise Unsupported(f"unknown model type {type(model).__name__}")
 

@@ -41,6 +41,12 @@ class ScoringRule:
         return len(self.scores)
 
 
+def check_rule_size(rule: ScoringRule, m: int) -> None:
+    """Reject a rule whose rank count differs from the profile's candidate count."""
+    if rule.m != m:
+        raise InvalidRule(f"rule has {rule.m} ranks, profile has {m} candidates")
+
+
 def make_rule(kind: str, m: int, k: int | None = None) -> ScoringRule:
     if m < 2:
         raise InvalidRule("need at least 2 candidates")

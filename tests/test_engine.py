@@ -212,16 +212,38 @@ def test_pruned_candidates_cannot_win():
             assert full[c] < top - 1e-12 or name not in res.winners
 
 
+def test_pruned_result_splits_candidates_into_scores_and_bounds():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        prof = random_supported_profile(rng, world_budget=300)
+        rule = make_rule(str(rng.choice(["plurality", "borda", "veto"])), prof.m)
+        res = mew(prof, rule, pruning=True)
+        full = oracle_expected_scores(prof, rule)
+        ids = prof.candidates.ids
+        assert set(res.expected_scores).isdisjoint(res.bounds)
+        assert set(res.expected_scores) | set(res.bounds) == set(ids)
+        for name, score in res.expected_scores.items():
+            assert score == pytest.approx(full[ids.index(name)], abs=1e-9)
+        for name, (lo, hi) in res.bounds.items():
+            assert lo - 1e-9 <= full[ids.index(name)] <= hi + 1e-9
+        assert len(res.pruned) == res.stats.prunings
+
+
 def test_parallel_is_bit_identical_across_worker_counts():
     rng = np.random.default_rng(28)
     prof = random_supported_profile(rng, m_range=(4, 6), n_range=(5, 5), world_budget=2000)
-    rule = make_rule("borda", prof.m)
-    seq = mew(prof, rule, pruning=False)
-    results = [mew_parallel(prof, rule, workers=w) for w in (1, 2, 4, 8)]
-    for res in results:
-        assert res.winners == seq.winners
-        for name in seq.expected_scores:
-            assert res.expected_scores[name] == seq.expected_scores[name]
+    # identical voters form one group, which runs without a pool at any worker count
+    single_group = Profile(candidate_set("a", "b", "c", "d", "e"),
+                           [Voter(MallowsModel((2, 0, 4, 1, 3), 0.4), None)] * 3)
+    for profile in (prof, single_group):
+        rule = make_rule("borda", profile.m)
+        seq = mew(profile, rule, pruning=False)
+        results = [mew_parallel(profile, rule, workers=w) for w in (1, 2, 4, 8)]
+        for res in results:
+            assert res.winners == seq.winners
+            assert res.bounds == {} and res.pruned == ()
+            for name in seq.expected_scores:
+                assert res.expected_scores[name] == seq.expected_scores[name]
 
 
 def test_parallel_winners_match_pruned_sequential():
