@@ -11,8 +11,10 @@ model plus optional observation) to the cheapest applicable solver:
   - a selection dynamic program for ranking selection models;
   - a tracked-item insertion DP for insertion models conditioned on posets,
     whose cost is exponential in the poset's cover width;
-  - a prefix-set counting DP for uniform posets at small m (same posterior as
-    the tracked-item DP, better constants).
+  - for uniform posets at any m, a table built per connected component of
+    the poset: a prefix-set counting DP on each component of at most
+    ``UNIFORM_POSET_DP_LIMIT`` items (the tracked-item DP on larger ones),
+    spread over the m ranks by a hypergeometric interleave.
 
 Conditioning on evidence with zero probability raises ZeroPosterior: the
 posterior is undefined there, and returning a default would poison expected
@@ -28,7 +30,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CoverWidthExceeded, RankOutOfRange, TooLarge, Unsupported, ValidationError, ZeroPosterior
+from .errors import (
+    CoverWidthExceeded,
+    RankOutOfRange,
+    TooLarge,
+    UnknownCandidate,
+    Unsupported,
+    ValidationError,
+    ZeroPosterior,
+)
 from .models import (
     MallowsModel,
     RimModel,
@@ -104,31 +114,35 @@ def rep_fully_partitioned(c: int, fp: PartitionedPreference, m: int) -> RankDist
     return probs
 
 
+@lru_cache(maxsize=1024)
+def _interleave(k: int, m: int) -> np.ndarray:
+    """H[r-1, j-1] = Pr(rank j among m | rank r among k) for k items placed on
+    a uniformly random k-subset of the m ranks: C(j-1, r-1) C(m-j, k-r) / C(m, k).
+
+    Read-only: the cache hands the same array to every caller.
+    """
+    total = math.comb(m, k)
+    table = np.array([[math.comb(j - 1, r - 1) * math.comb(m - j, k - r) / total
+                       for j in range(1, m + 1)] for r in range(1, k + 1)])
+    table.setflags(write=False)
+    return table
+
+
 def rep_partial_chain(c: int, pc: PartialChain, m: int) -> RankDistribution:
     if c not in pc.chain:
         return np.full(m, 1.0 / m)
-    k_l = pc.chain.index(c)
-    k_r = len(pc.chain) - k_l - 1
-    weights = [math.comb(j - 1, k_l) * math.comb(m - j, k_r) for j in range(1, m + 1)]
-    total = sum(weights)
-    return np.array([w / total for w in weights])
+    return _interleave(len(pc.chain), m)[pc.chain.index(c)].copy()
 
 
 def rep_partially_partitioned(c: int, pp: PartitionedPreference, m: int) -> RankDistribution:
+    """c is equally likely at each slot of its bucket within the bucketed items."""
     i = pp.bucket_of(c)
     if i is None:  # in the missing set or absent: no information about c
         return np.full(m, 1.0 / m)
     k_l = sum(len(b) for b in pp.buckets[:i])
-    k_r = sum(len(b) for b in pp.buckets[i + 1:])
     k_c = len(pp.buckets[i])
-    weights = []
-    for j in range(1, m + 1):
-        w = 0
-        for x in range(k_c):
-            w += math.comb(j - 1, k_l + x) * math.comb(m - j, k_r + k_c - 1 - x)
-        weights.append(w)
-    total = sum(weights)
-    return np.array([w / total for w in weights])
+    k = sum(len(b) for b in pp.buckets)
+    return _interleave(k, m)[k_l:k_l + k_c].mean(axis=0)
 
 
 def rep_truncated(c: int, tr: TruncatedRanking, m: int) -> RankDistribution:
@@ -408,17 +422,17 @@ def rep_mallows_partitioned(c: int, model: MallowsModel, fp: PartitionedPreferen
 
 
 # ---------------------------------------------------------------------------
-# Uniform posets at small m: count prefix sets instead of tracking positions
+# Uniform posets: one table per connected component, interleaved over the ranks
 
 
-@lru_cache(maxsize=4096)
-def _uniform_poset_table(m: int, anc_masks: tuple[int, ...]) -> np.ndarray:
+def _prefix_set_table(m: int, anc_masks: tuple[int, ...]) -> np.ndarray:
     """table[c][j-1] = fraction of linear extensions placing c at rank j.
 
     f[S] counts orderings of a valid prefix set S, g[S] orderings of its
     complement; placing c right after prefix S contributes f[S] * g[S + c]
-    extensions with c at rank |S| + 1.  Counts stay exact in int64 for
-    m <= 20.
+    extensions with c at rank |S| + 1.  Runs over all 2^m masks, so the table
+    build calls it on one connected component at a time, with m the
+    component's size; counts stay exact in int64 for components of <= 20 items.
     """
     n_masks = 1 << m
     masks = np.arange(n_masks, dtype=np.int64)
@@ -462,10 +476,58 @@ def _uniform_poset_table(m: int, anc_masks: tuple[int, ...]) -> np.ndarray:
     return table / total
 
 
+def _bits(mask: int) -> list[int]:
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def _component_table(items: list[int], anc_masks: tuple[int, ...]) -> np.ndarray:
+    """Rank table of a connected component, relabelled to 0..k-1 in order."""
+    k = len(items)
+    local = {x: i for i, x in enumerate(items)}
+    local_anc = tuple(sum(1 << local[a] for a in _bits(anc_masks[x])) for x in items)
+    if k <= UNIFORM_POSET_DP_LIMIT:
+        return _prefix_set_table(k, local_anc)
+    p = PartialOrder((a, b) for b, mask in enumerate(local_anc) for a in _bits(mask))
+    rim = uniform_rim(tuple(range(k)))
+    return np.array([rep_rim_poset(x, rim, p) for x in range(k)])
+
+
+@lru_cache(maxsize=4096)
+def _uniform_poset_table(m: int, anc_masks: tuple[int, ...]) -> np.ndarray:
+    """table[c][j-1] = fraction of linear extensions placing c at rank j.
+
+    ``anc_masks[b]`` has bit a set when a > b in the transitive closure.  The
+    linear extensions are the shuffles of the components' extensions, and a
+    component of k items lands on a uniformly random k-subset of the ranks.
+    So each component's own k x k table is spread over the m ranks by the
+    hypergeometric interleave, and an isolated item is uniform.
+    """
+    if any(mask >> m for mask in anc_masks):
+        raise UnknownCandidate(f"poset item outside 0..{m - 1}")
+    components: list[int] = []  # item bit masks
+    for b, mask in enumerate(anc_masks):
+        comp = mask | 1 << b
+        for other in [x for x in components if x & comp]:
+            components.remove(other)
+            comp |= other
+        components.append(comp)
+    table = np.empty((m, m))
+    for comp in components:
+        items = _bits(comp)
+        if len(items) == 1:
+            table[items] = 1.0 / m
+        else:
+            table[items] = _component_table(items, anc_masks) @ _interleave(len(items), m)
+    return table
+
+
 def uniform_poset_distribution(c: int, p: PartialOrder, m: int) -> RankDistribution:
     anc_masks = [0] * m
-    for a, b in p.closure:
-        anc_masks[b] |= 1 << a
+    try:
+        for a, b in p.closure:
+            anc_masks[b] |= 1 << a
+    except (IndexError, ValueError):  # an item past m - 1, or a negative shift
+        raise UnknownCandidate(f"poset item outside 0..{m - 1}") from None
     return _uniform_poset_table(m, tuple(anc_masks))[c].copy()
 
 
@@ -475,6 +537,8 @@ def uniform_poset_distribution(c: int, p: PartialOrder, m: int) -> RankDistribut
 
 def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
     """Route one (candidate, voter) query to the cheapest applicable solver."""
+    if not 0 <= c < m:
+        raise UnknownCandidate(f"candidate index {c} outside 0..{m - 1}")
     model, obs = voter.model, voter.observation
 
     if isinstance(model, RsmRankingModel):
@@ -494,9 +558,7 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
         if isinstance(obs, TruncatedRanking):
             return rep_truncated(c, obs, m)
         if isinstance(obs, PartialOrder):
-            if m <= UNIFORM_POSET_DP_LIMIT:
-                return uniform_poset_distribution(c, obs, m)
-            return rep_rim_poset(c, uniform_rim(tuple(range(m))), obs)
+            return uniform_poset_distribution(c, obs, m)
         raise Unsupported(f"unknown observation type {type(obs).__name__}")
 
     if isinstance(model, MallowsModel):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from conftest import SUPPORTED_COMBOS, random_poset, random_supported_voter
 
+import mewvote.rep as rep
 from mewvote import (
     CoverWidthExceeded,
+    GenSpec,
     MallowsModel,
     PartialChain,
     PartialOrder,
@@ -13,13 +15,16 @@ from mewvote import (
     RimModel,
     RsmRankingModel,
     TruncatedRanking,
+    UnknownCandidate,
     Unsupported,
     Voter,
     ZeroPosterior,
+    generate,
     linear_extensions,
     make_rule,
     mallows_to_rim,
     mallows_to_rsm,
+    mew,
     rep_dispatch,
     rep_fully_partitioned,
     rep_mallows_partitioned,
@@ -153,6 +158,101 @@ def test_uniform_poset_matches_extension_frequencies():
                 freq[r.index(c)] += 1 / len(exts)
             assert np.allclose(rep_rim_poset(c, rim, p), freq, atol=1e-12)
             assert np.allclose(uniform_poset_distribution(c, p, m), freq, atol=1e-12)
+
+
+def _disconnected_poset(rng, m, shape):
+    """A poset of the given shape over a random relabelling of 0..m-1."""
+    perm = [int(x) for x in rng.permutation(m)]
+    if shape == "empty":
+        return PartialOrder([])
+    if shape == "chain":  # one chain, the other items isolated
+        return PartialOrder(PartialChain(perm[:int(rng.integers(2, m + 1))]).to_pairs())
+    if shape == "connected":  # a spanning tree ordered by perm, plus random pairs
+        pairs = [(perm[int(rng.integers(i))], perm[i]) for i in range(1, m)]
+        pairs += [(perm[i], perm[j]) for i in range(m) for j in range(i + 1, m)
+                  if rng.random() < 0.2]
+        return PartialOrder(pairs)
+    # isolated items plus several components, each a random poset of its own
+    cuts = sorted(int(x) for x in rng.choice(np.arange(1, m), size=2, replace=False))
+    pairs = []
+    for block in (perm[:cuts[0]], perm[cuts[0]:cuts[1]], perm[cuts[1]:]):
+        sub = random_poset(rng, len(block), density=0.5)
+        pairs += [(block[a], block[b]) for a, b in sub.pairs]
+    return PartialOrder(pairs)
+
+
+def test_uniform_poset_components_match_extension_frequencies():
+    rng = np.random.default_rng(13)
+    for shape in ("empty", "chain", "connected", "blocks"):
+        for _ in range(6):
+            m = int(rng.integers(3, 9))
+            p = _disconnected_poset(rng, m, shape)
+            exts = linear_extensions(p, m)
+            for c in range(m):
+                freq = np.zeros(m)
+                for r in exts:
+                    freq[r.index(c)] += 1 / len(exts)
+                assert np.allclose(uniform_poset_distribution(c, p, m), freq,
+                                   atol=1e-12), (shape, p.pairs)
+
+
+def test_uniform_poset_components_match_whole_poset_dp():
+    rng = np.random.default_rng(14)
+    for _ in range(60):
+        m = int(rng.integers(2, 13))
+        p = random_poset(rng, m, density=float(rng.uniform(0.0, 0.4)))
+        anc_masks = [0] * m
+        for a, b in p.closure:
+            anc_masks[b] |= 1 << a
+        whole = rep._prefix_set_table(m, tuple(anc_masks))
+        for c in range(m):
+            assert np.allclose(uniform_poset_distribution(c, p, m), whole[c],
+                               rtol=0, atol=1e-12), p.pairs
+
+
+def test_uniform_posets_past_the_limit_solve_without_the_tracked_item_dp(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("rep_rim_poset reached")
+
+    rep._uniform_poset_table.cache_clear()
+    monkeypatch.setattr(rep, "rep_rim_poset", unreachable)
+    prof = generate(GenSpec(kind="poset", m=17, n=20, p_max=0.1, seed=17))
+    result = mew(prof, make_rule("plurality", 17), pruning=False)
+    assert sum(result.expected_scores.values()) == pytest.approx(20.0, abs=1e-9)
+
+
+def test_uniform_poset_component_past_the_limit_uses_the_tracked_item_dp(monkeypatch):
+    calls = []
+    original = rep.rep_rim_poset
+
+    def spy(c, model, p, *args, **kwargs):
+        calls.append(len(model.sigma))
+        return original(c, model, p, *args, **kwargs)
+
+    rep._uniform_poset_table.cache_clear()
+    monkeypatch.setattr(rep, "rep_rim_poset", spy)
+    m, k = 19, rep.UNIFORM_POSET_DP_LIMIT + 1
+    chain = PartialChain(range(1, k + 1))  # one component of k items, two isolated
+    voter = Voter(None, PartialOrder(chain.to_pairs()))
+    for c in range(m):
+        assert np.allclose(rep_dispatch(c, voter, m), rep_partial_chain(c, chain, m),
+                           rtol=0, atol=1e-12)
+    assert calls and set(calls) == {k}
+    # a component too wide for the tracked-item DP fails loudly
+    wide = PartialOrder([(i, m - 1) for i in range(k + 1)])
+    with pytest.raises(CoverWidthExceeded):
+        rep_dispatch(0, Voter(None, wide), m)
+
+
+def test_dispatch_rejects_out_of_range_candidates():
+    with pytest.raises(UnknownCandidate):
+        rep_dispatch(0, Voter(None, PartialOrder([(0, 12)])), 10)
+    with pytest.raises(UnknownCandidate):
+        rep_dispatch(0, Voter(None, PartialOrder([(12, 0)])), 10)
+    with pytest.raises(UnknownCandidate):
+        rep_dispatch(11, Voter(None, PartialChain((0, 1))), 10)
+    with pytest.raises(UnknownCandidate):
+        rep_dispatch(-1, Voter(None, PartialChain((0, 1))), 10)
 
 
 def test_weighted_poset_posterior_matches_oracle():
