@@ -62,15 +62,12 @@ from .profiles import Profile
 from .rep import (
     Voter,
     rep_dispatch,
-    rep_fully_partitioned,
     rep_mallows_partitioned,
-    rep_partial_chain,
-    rep_partially_partitioned,
     rep_rim,
     rep_rim_poset,
     rep_rim_truncated,
     rep_rsm,
-    rep_truncated,
+    rep_uniform,
     rsm_rank_distribution,
     uniform_poset_distribution,
     voter_support,

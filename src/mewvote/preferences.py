@@ -113,10 +113,6 @@ class PartialOrder:
     def descendants(self, c: int) -> frozenset[int]:
         return frozenset(b for a, b in self.closure if a == c)
 
-    def consistent(self, ranking: Ranking) -> bool:
-        pos = {c: j for j, c in enumerate(ranking)}
-        return all(pos[a] < pos[b] for a, b in self.pairs)
-
 
 @dataclass(frozen=True)
 class PartitionedPreference:
@@ -305,30 +301,42 @@ def cover_width(sigma: Ranking, p: PartialOrder) -> int:
     return width
 
 
+def bucket_window(c: int, obs: Observation | None, m: int) -> tuple[int, int, int] | None:
+    """Where ``c`` sits in an observation of ordered buckets: ``(k, before, size)``.
+
+    Partitioned preferences, partial chains (one-item buckets) and truncated
+    rankings (one-item top and bottom buckets around the unordered middle)
+    are all ordered buckets over ``k`` of the m candidates.  ``before`` counts
+    the items in buckets ahead of ``c``'s and ``size`` is its bucket's size.
+    None when the observation says nothing about ``c``.
+    """
+    if obs is None:
+        return None
+    if isinstance(obs, PartitionedPreference):
+        i = obs.bucket_of(c)
+        if i is None:
+            return None
+        sizes = [len(b) for b in obs.buckets]
+        return sum(sizes), sum(sizes[:i]), sizes[i]
+    if isinstance(obs, PartialChain):
+        if c not in obs.chain:
+            return None
+        return len(obs.chain), obs.chain.index(c), 1
+    if isinstance(obs, TruncatedRanking):
+        if c in obs.top:
+            return m, obs.top.index(c), 1
+        if c in obs.bottom:
+            return m, m - len(obs.bottom) + obs.bottom.index(c), 1
+        return m, len(obs.top), m - len(obs.top) - len(obs.bottom)
+    raise TypeError(f"no bucket view of {type(obs).__name__}")
+
+
 def rank_bounds(c: int, structure, m: int) -> tuple[int, int]:
     """Tight (best, worst) rank range candidate ``c`` can occupy in any completion."""
-    if structure is None:
-        return 1, m
     if isinstance(structure, PartialOrder):
         return 1 + len(structure.ancestors(c)), m - len(structure.descendants(c))
-    if isinstance(structure, PartitionedPreference):
-        i = structure.bucket_of(c)
-        if i is None:
-            return 1, m
-        before = sum(len(b) for b in structure.buckets[:i])
-        after = sum(len(b) for b in structure.buckets[i + 1:])
-        return before + 1, m - after
-    if isinstance(structure, PartialChain):
-        if c not in structure.chain:
-            return 1, m
-        k = structure.chain.index(c)
-        return k + 1, m - (len(structure.chain) - k - 1)
-    if isinstance(structure, TruncatedRanking):
-        if c in structure.top:
-            r = structure.top.index(c) + 1
-            return r, r
-        if c in structure.bottom:
-            r = m - len(structure.bottom) + structure.bottom.index(c) + 1
-            return r, r
-        return len(structure.top) + 1, m - len(structure.bottom)
-    raise TypeError(f"no rank bounds for {type(structure).__name__}")
+    window = bucket_window(c, structure, m)
+    if window is None:
+        return 1, m
+    k, before, size = window
+    return before + 1, m - (k - before - size)

@@ -4,17 +4,24 @@ Every solver returns the full rank distribution of one candidate as a numpy
 vector indexed by rank - 1.  ``rep_dispatch`` routes a voter (generation-step
 model plus optional observation) to the cheapest applicable solver:
 
-  - closed-form combinatorics for partitioned preferences, partial chains and
-    truncated rankings under the uniform model;
-  - an insertion-position dynamic program for insertion models (and Mallows,
-    via its insertion-model form);
-  - a selection dynamic program for ranking selection models;
-  - a tracked-item insertion DP for insertion models conditioned on posets,
-    whose cost is exponential in the poset's cover width;
+  - ``rep_uniform`` for the uniform model with no observation or with ordered
+    buckets over some of the candidates (partitioned preferences, partial
+    chains, truncated rankings): one closed form, read from the target's
+    bucket as located by ``preferences.bucket_window``;
   - for uniform posets at any m, a table built per connected component of
     the poset: a prefix-set counting DP on each component of at most
     ``UNIFORM_POSET_DP_LIMIT`` items (the tracked-item DP on larger ones),
-    spread over the m ranks by a hypergeometric interleave.
+    spread over the m ranks by a hypergeometric interleave;
+  - an insertion-position dynamic program for insertion models (and Mallows,
+    via its insertion-model form);
+  - a selection dynamic program for ranking selection models;
+  - for Mallows given a fully partitioned preference or a truncated ranking,
+    the same insertion DP restricted to the target's bucket;
+  - for other insertion models given a truncated ranking, an insertion DP
+    in which the top and bottom items have forced positions;
+  - for insertion models given any other observation, a tracked-item
+    insertion DP over the observation's poset, whose cost is exponential in
+    the poset's cover width.
 
 Conditioning on evidence with zero probability raises ZeroPosterior: the
 posterior is undefined there, and returning a default would poison expected
@@ -56,6 +63,7 @@ from .preferences import (
     PartitionedPreference,
     Ranking,
     TruncatedRanking,
+    bucket_window,
     cover_width,
     observation_pairs,
     validate,
@@ -89,29 +97,8 @@ class Voter:
         return (self.model, self.observation)
 
 
-def check_rank_distribution(probs: np.ndarray, tol: float = 1e-9) -> None:
-    if np.any(probs < -tol) or np.any(probs > 1 + tol):
-        raise ValidationError("rank probabilities outside [0, 1]")
-    if abs(float(probs.sum()) - 1.0) > tol:
-        raise ValidationError(f"rank probabilities sum to {probs.sum()}")
-
-
 # ---------------------------------------------------------------------------
-# Closed forms for the uniform generation step
-
-
-def rep_fully_partitioned(c: int, fp: PartitionedPreference, m: int) -> RankDistribution:
-    """Uniform over the slots of c's bucket: 1/|bucket| on its rank window."""
-    if not fp.is_fully_partitioned(m):
-        raise ValidationError("preference is not fully partitioned")
-    i = fp.bucket_of(c)
-    if i is None:
-        raise ValidationError(f"candidate {c} not in any bucket")
-    k_left = sum(len(b) for b in fp.buckets[:i])
-    k_c = len(fp.buckets[i])
-    probs = np.zeros(m)
-    probs[k_left:k_left + k_c] = 1.0 / k_c
-    return probs
+# Closed form for the uniform generation step given ordered buckets
 
 
 @lru_cache(maxsize=1024)
@@ -128,25 +115,28 @@ def _interleave(k: int, m: int) -> np.ndarray:
     return table
 
 
-def rep_partial_chain(c: int, pc: PartialChain, m: int) -> RankDistribution:
-    if c not in pc.chain:
+# solvers run once per candidate, so each (observation, m) is validated once
+_validate_once = lru_cache(maxsize=4096)(validate)
+
+
+def rep_uniform(c: int, obs: Observation | None, m: int) -> RankDistribution:
+    """Uniform model given ordered buckets over k items (see ``bucket_window``).
+
+    With no observation, or one that does not place ``c``, ``c`` is uniform
+    over the m ranks.  Otherwise the k bucketed items land on a uniformly
+    random k-subset of the ranks and ``c`` is equally likely at each slot of
+    its bucket, so its distribution is the mean of the interleave rows of
+    those slots.  With k = m the interleave is the identity, giving 1/size on
+    the bucket's rank window.
+    """
+    if obs is not None:
+        _validate_once(obs, m)
+    window = bucket_window(c, obs, m)
+    if window is None:
         return np.full(m, 1.0 / m)
-    return _interleave(len(pc.chain), m)[pc.chain.index(c)].copy()
-
-
-def rep_partially_partitioned(c: int, pp: PartitionedPreference, m: int) -> RankDistribution:
-    """c is equally likely at each slot of its bucket within the bucketed items."""
-    i = pp.bucket_of(c)
-    if i is None:  # in the missing set or absent: no information about c
-        return np.full(m, 1.0 / m)
-    k_l = sum(len(b) for b in pp.buckets[:i])
-    k_c = len(pp.buckets[i])
-    k = sum(len(b) for b in pp.buckets)
-    return _interleave(k, m)[k_l:k_l + k_c].mean(axis=0)
-
-
-def rep_truncated(c: int, tr: TruncatedRanking, m: int) -> RankDistribution:
-    return rep_fully_partitioned(c, tr.to_partitioned(m), m)
+    k, before, size = window
+    rows = _interleave(k, m)[before:before + size]
+    return rows[0].copy() if size == 1 else rows.sum(axis=0) / size  # mean, cheaper than .mean()
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +492,6 @@ def _uniform_poset_table(m: int, anc_masks: tuple[int, ...]) -> np.ndarray:
     So each component's own k x k table is spread over the m ranks by the
     hypergeometric interleave, and an isolated item is uniform.
     """
-    if any(mask >> m for mask in anc_masks):
-        raise UnknownCandidate(f"poset item outside 0..{m - 1}")
     components: list[int] = []  # item bit masks
     for b, mask in enumerate(anc_masks):
         comp = mask | 1 << b
@@ -521,14 +509,18 @@ def _uniform_poset_table(m: int, anc_masks: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def uniform_poset_distribution(c: int, p: PartialOrder, m: int) -> RankDistribution:
+@lru_cache(maxsize=4096)
+def _ancestor_masks(p: PartialOrder, m: int) -> tuple[int, ...]:
+    """The table key of a poset, built and validated once per (poset, m)."""
+    validate(p, m)
     anc_masks = [0] * m
-    try:
-        for a, b in p.closure:
-            anc_masks[b] |= 1 << a
-    except (IndexError, ValueError):  # an item past m - 1, or a negative shift
-        raise UnknownCandidate(f"poset item outside 0..{m - 1}") from None
-    return _uniform_poset_table(m, tuple(anc_masks))[c].copy()
+    for a, b in p.closure:
+        anc_masks[b] |= 1 << a
+    return tuple(anc_masks)
+
+
+def uniform_poset_distribution(c: int, p: PartialOrder, m: int) -> RankDistribution:
+    return _uniform_poset_table(m, _ancestor_masks(p, m))[c].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -547,18 +539,10 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
         return rsm_rank_distribution(c, model)
 
     if model is None:
-        if obs is None:
-            return np.full(m, 1.0 / m)
-        if isinstance(obs, PartitionedPreference):
-            if obs.is_fully_partitioned(m):
-                return rep_fully_partitioned(c, obs, m)
-            return rep_partially_partitioned(c, obs, m)
-        if isinstance(obs, PartialChain):
-            return rep_partial_chain(c, obs, m)
-        if isinstance(obs, TruncatedRanking):
-            return rep_truncated(c, obs, m)
         if isinstance(obs, PartialOrder):
             return uniform_poset_distribution(c, obs, m)
+        if obs is None or isinstance(obs, (PartitionedPreference, PartialChain, TruncatedRanking)):
+            return rep_uniform(c, obs, m)
         raise Unsupported(f"unknown observation type {type(obs).__name__}")
 
     if isinstance(model, MallowsModel):

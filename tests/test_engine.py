@@ -252,3 +252,41 @@ def test_parallel_winners_match_pruned_sequential():
     prof = generate(GenSpec(kind="poset", m=8, n=300, phi=0.5, p_max=0.1, seed=99))
     rule = make_rule("plurality", 8)
     assert mew_parallel(prof, rule, workers=4).winners == mew(prof, rule).winners
+
+
+def test_solvers_are_called_through_the_module_level_names(monkeypatch):
+    # the benchmark's per-layer counters wrap exactly these names; a solver
+    # route that bypassed them would read zero there and still pass
+    import importlib
+    from collections import Counter
+
+    from mewvote import PartitionedPreference, mpw
+
+    counts: Counter = Counter()
+
+    def count_calls(module_name, name):
+        module = importlib.import_module(module_name)  # ``mewvote.mpw`` is also a function
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            counts[f"{module_name}.{name}"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count_calls("mewvote.engine", "rep_dispatch")
+    count_calls("mewvote.engine", "rank_bounds")
+    count_calls("mewvote.mpw", "rep_dispatch")
+    count_calls("mewvote.mpw", "voter_support")
+    prof = Profile(candidate_set("a", "b", "c", "d"),
+                   [Voter(None, PartialChain((0, 1))),
+                    Voter(None, PartitionedPreference([[2], [3]], [0])), Voter()])
+    for rule_name, mpw_route in (("plurality", "mewvote.mpw.rep_dispatch"),
+                                 ("borda", "mewvote.mpw.voter_support")):
+        counts.clear()
+        rule = make_rule(rule_name, prof.m)
+        mew(prof, rule)
+        mpw(prof, rule)
+        assert counts["mewvote.engine.rep_dispatch"] > 0, rule_name
+        assert counts["mewvote.engine.rank_bounds"] > 0, rule_name
+        assert counts[mpw_route] > 0, rule_name

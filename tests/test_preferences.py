@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import OBSERVATION_KINDS, random_observation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,10 +15,12 @@ from mewvote import (
     TooLarge,
     TruncatedRanking,
     ValidationError,
+    Voter,
     candidate_set,
     cover_width,
     linear_extensions,
     rank_bounds,
+    rep_dispatch,
     validate,
 )
 
@@ -166,6 +169,18 @@ def test_rank_bounds_chain_and_truncated():
     assert rank_bounds(3, tr, 4) == (1, 1)
     assert rank_bounds(0, tr, 4) == (4, 4)
     assert rank_bounds(1, tr, 4) == (2, 3)
+
+
+def test_rank_bounds_are_the_support_of_the_uniform_posterior():
+    rng = np.random.default_rng(15)
+    for kind in (None, *OBSERVATION_KINDS):
+        for _ in range(30):
+            m = int(rng.integers(2, 9))
+            voter = Voter(None, random_observation(rng, m, kind) if kind else None)
+            for c in range(m):
+                ranks = np.nonzero(rep_dispatch(c, voter, m))[0] + 1
+                support = (int(ranks[0]), int(ranks[-1]))
+                assert rank_bounds(c, voter.observation, m) == support, (kind, voter.observation)
 
 
 @given(st.integers(0, 10_000))

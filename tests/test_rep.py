@@ -26,15 +26,12 @@ from mewvote import (
     mallows_to_rsm,
     mew,
     rep_dispatch,
-    rep_fully_partitioned,
     rep_mallows_partitioned,
-    rep_partial_chain,
-    rep_partially_partitioned,
     rep_rim,
     rep_rim_poset,
     rep_rim_truncated,
     rep_rsm,
-    rep_truncated,
+    rep_uniform,
     rim_probability,
     rsm_probability,
     rsm_rank_distribution,
@@ -44,45 +41,44 @@ from mewvote.models import uniform_rim
 from mewvote.oracle import fcp_count, oracle_rank_distribution
 
 
-# --- closed forms ---------------------------------------------------------
+# --- closed form over ordered buckets ----------------------------------
 
 def test_fully_partitioned_slots():
     fp = PartitionedPreference([[0, 1], [2]])
-    assert np.allclose(rep_fully_partitioned(0, fp, 3), [0.5, 0.5, 0.0])
-    assert np.allclose(rep_fully_partitioned(2, fp, 3), [0.0, 0.0, 1.0])
+    assert np.allclose(rep_uniform(0, fp, 3), [0.5, 0.5, 0.0])
+    assert np.allclose(rep_uniform(2, fp, 3), [0.0, 0.0, 1.0])
     singles = PartitionedPreference([[0], [1], [2]])
-    assert np.allclose(rep_fully_partitioned(1, singles, 3), [0.0, 1.0, 0.0])
+    assert np.allclose(rep_uniform(1, singles, 3), [0.0, 1.0, 0.0])
 
 
 def test_partial_chain_degrees_of_freedom():
     pc = PartialChain((0, 1))
-    assert np.allclose(rep_partial_chain(0, pc, 3), [2 / 3, 1 / 3, 0.0])
-    assert np.allclose(rep_partial_chain(2, pc, 4), [0.25] * 4)
+    assert np.allclose(rep_uniform(0, pc, 3), [2 / 3, 1 / 3, 0.0])
+    assert np.allclose(rep_uniform(2, pc, 4), [0.25] * 4)
     full = PartialChain((2, 0, 1))
-    assert np.allclose(rep_partial_chain(0, full, 3), [0.0, 1.0, 0.0])
+    assert np.allclose(rep_uniform(0, full, 3), [0.0, 1.0, 0.0])
 
 
 def test_partially_partitioned_specializations():
     fp = PartitionedPreference([[0, 1], [2]])
-    for c in range(3):
-        assert np.allclose(rep_partially_partitioned(c, fp, 3),
-                           rep_fully_partitioned(c, fp, 3), atol=1e-15)
+    for c, slots in enumerate([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]):
+        assert np.allclose(rep_uniform(c, fp, 3), slots, atol=1e-15)
     pp = PartitionedPreference([[0], [1]], [2])
-    assert np.allclose(rep_partially_partitioned(0, pp, 3), [2 / 3, 1 / 3, 0.0])
+    assert np.allclose(rep_uniform(0, pp, 3), [2 / 3, 1 / 3, 0.0])
     # single-item buckets reduce to the chain formula
     chain_like = PartitionedPreference([[0], [1]], [2, 3])
     pc = PartialChain((0, 1))
     for c in range(4):
-        assert np.allclose(rep_partially_partitioned(c, chain_like, 4),
-                           rep_partial_chain(c, pc, 4), atol=1e-12)
+        assert np.allclose(rep_uniform(c, chain_like, 4),
+                           rep_uniform(c, pc, 4), atol=1e-12)
 
 
 def test_truncated_delegates_to_partitions():
     tr = TruncatedRanking((0,), (3,))
-    assert np.allclose(rep_truncated(1, tr, 4), [0.0, 0.5, 0.5, 0.0])
-    assert np.allclose(rep_truncated(0, tr, 4), [1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(rep_uniform(1, tr, 4), [0.0, 0.5, 0.5, 0.0])
+    assert np.allclose(rep_uniform(0, tr, 4), [1.0, 0.0, 0.0, 0.0])
     empty = TruncatedRanking((), ())
-    assert np.allclose(rep_truncated(2, empty, 4), [0.25] * 4)
+    assert np.allclose(rep_uniform(2, empty, 4), [0.25] * 4)
 
 
 # --- insertion model ------------------------------------------------------
@@ -235,7 +231,7 @@ def test_uniform_poset_component_past_the_limit_uses_the_tracked_item_dp(monkeyp
     chain = PartialChain(range(1, k + 1))  # one component of k items, two isolated
     voter = Voter(None, PartialOrder(chain.to_pairs()))
     for c in range(m):
-        assert np.allclose(rep_dispatch(c, voter, m), rep_partial_chain(c, chain, m),
+        assert np.allclose(rep_dispatch(c, voter, m), rep_uniform(c, chain, m),
                            rtol=0, atol=1e-12)
     assert calls and set(calls) == {k}
     # a component too wide for the tracked-item DP fails loudly
@@ -253,6 +249,12 @@ def test_dispatch_rejects_out_of_range_candidates():
         rep_dispatch(11, Voter(None, PartialChain((0, 1))), 10)
     with pytest.raises(UnknownCandidate):
         rep_dispatch(-1, Voter(None, PartialChain((0, 1))), 10)
+    # observation items past m - 1 or negative, whether or not they place c
+    for obs in (PartialChain((0, 12)), PartitionedPreference([[0], [12]]),
+                PartialOrder([(0, -1)]), TruncatedRanking((12,), ())):
+        for c in (0, 5):
+            with pytest.raises(UnknownCandidate):
+                rep_dispatch(c, Voter(None, obs), 10)
 
 
 def test_weighted_poset_posterior_matches_oracle():
@@ -332,7 +334,7 @@ def test_mallows_partition_phi_one_is_uniform_in_bucket():
     model = MallowsModel((0, 1, 2, 3), 1.0)
     for c in range(4):
         assert np.allclose(rep_mallows_partitioned(c, model, fp),
-                           rep_fully_partitioned(c, fp, 4), atol=1e-12)
+                           rep_uniform(c, fp, 4), atol=1e-12)
 
 
 def test_mallows_partition_matches_oracle():
@@ -349,7 +351,7 @@ def test_mallows_partition_matches_oracle():
 def test_dispatch_routes_to_closed_forms():
     pc = PartialChain((0, 1))
     v = Voter(None, pc)
-    assert np.allclose(rep_dispatch(0, v, 3), rep_partial_chain(0, pc, 3), atol=1e-15)
+    assert np.allclose(rep_dispatch(0, v, 3), rep_uniform(0, pc, 3), atol=1e-15)
     mal = MallowsModel((0, 1, 2), 0.5)
     assert np.allclose(rep_dispatch(1, Voter(mal, None), 3),
                        rep_rim(1, mallows_to_rim(mal)), atol=1e-15)
