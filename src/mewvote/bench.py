@@ -13,6 +13,7 @@ from .engine import mew, mew_parallel
 from .generators import GenSpec, cover_width_profile, generate
 from .mpw import mpw
 from .profiles import Profile
+from .rep import _uniform_poset_table
 from .rules import parse_rule
 
 CSV_COLUMNS = (
@@ -49,7 +50,10 @@ def build_profile(run: BenchRun) -> Profile:
 
 
 def time_run(run: BenchRun, profile: Profile) -> float:
+    """Wall time of one cold run: the table cache is emptied first, so repeats
+    of a run are never averaged with warm ones."""
     rule = parse_rule(run.rule, profile.m)
+    _uniform_poset_table.cache_clear()
     start = time.perf_counter()
     if run.algo == "mpw":
         mpw(profile, rule)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import CycleDetected, OverlapViolation, TooLarge, UnknownCandidate, ValidationError
 
@@ -106,12 +106,6 @@ class PartialOrder:
             if not any((a, z) in closed and (z, b) in closed for z in self.items):
                 covers.add((a, b))
         return frozenset(covers)
-
-    def ancestors(self, c: int) -> frozenset[int]:
-        return frozenset(a for a, b in self.closure if b == c)
-
-    def descendants(self, c: int) -> frozenset[int]:
-        return frozenset(b for a, b in self.closure if a == c)
 
 
 @dataclass(frozen=True)
@@ -331,10 +325,32 @@ def bucket_window(c: int, obs: Observation | None, m: int) -> tuple[int, int, in
     raise TypeError(f"no bucket view of {type(obs).__name__}")
 
 
+@lru_cache(maxsize=4096)
+def ancestor_masks(p: PartialOrder, m: int) -> tuple[int, ...]:
+    """Bit a of ``anc_masks[b]`` is set when a > b in the closure of ``p``.
+
+    Built and validated once per (poset, m); the uniform-poset table cache is
+    keyed on it.
+    """
+    validate(p, m)
+    anc_masks = [0] * m
+    for a, b in p.closure:
+        anc_masks[b] |= 1 << a
+    return tuple(anc_masks)
+
+
+@lru_cache(maxsize=4096)
+def _poset_rank_bounds(p: PartialOrder, m: int) -> tuple[tuple[int, int], ...]:
+    """(best, worst) of every candidate: after its ancestors, before its descendants."""
+    anc_masks = ancestor_masks(p, m)
+    return tuple((1 + mask.bit_count(), m - sum(other >> c & 1 for other in anc_masks))
+                 for c, mask in enumerate(anc_masks))
+
+
 def rank_bounds(c: int, structure, m: int) -> tuple[int, int]:
     """Tight (best, worst) rank range candidate ``c`` can occupy in any completion."""
     if isinstance(structure, PartialOrder):
-        return 1 + len(structure.ancestors(c)), m - len(structure.descendants(c))
+        return _poset_rank_bounds(structure, m)[c]
     window = bucket_window(c, structure, m)
     if window is None:
         return 1, m

@@ -9,9 +9,9 @@ model plus optional observation) to the cheapest applicable solver:
     chains, truncated rankings): one closed form, read from the target's
     bucket as located by ``preferences.bucket_window``;
   - for uniform posets at any m, a table built per connected component of
-    the poset: a prefix-set counting DP on each component of at most
-    ``UNIFORM_POSET_DP_LIMIT`` items (the tracked-item DP on larger ones),
-    spread over the m ranks by a hypergeometric interleave;
+    the poset by one counting DP over the component's order ideals, bounded
+    by ``IDEAL_BUDGET`` ideals, and spread over the m ranks by a
+    hypergeometric interleave;
   - an insertion-position dynamic program for insertion models (and Mallows,
     via its insertion-model form);
   - a selection dynamic program for ranking selection models;
@@ -54,7 +54,6 @@ from .models import (
     mallows_to_rim,
     rim_probability,
     rsm_probability,
-    uniform_rim,
 )
 from .preferences import (
     Observation,
@@ -63,6 +62,7 @@ from .preferences import (
     PartitionedPreference,
     Ranking,
     TruncatedRanking,
+    ancestor_masks,
     bucket_window,
     cover_width,
     observation_pairs,
@@ -70,7 +70,7 @@ from .preferences import (
 )
 
 COVER_WIDTH_CAP = 6
-UNIFORM_POSET_DP_LIMIT = 16
+IDEAL_BUDGET = 1 << 18  # order ideals one uniform-poset component may count
 
 RankDistribution = np.ndarray
 
@@ -415,71 +415,55 @@ def rep_mallows_partitioned(c: int, model: MallowsModel, fp: PartitionedPreferen
 # Uniform posets: one table per connected component, interleaved over the ranks
 
 
-def _prefix_set_table(m: int, anc_masks: tuple[int, ...]) -> np.ndarray:
-    """table[c][j-1] = fraction of linear extensions placing c at rank j.
-
-    f[S] counts orderings of a valid prefix set S, g[S] orderings of its
-    complement; placing c right after prefix S contributes f[S] * g[S + c]
-    extensions with c at rank |S| + 1.  Runs over all 2^m masks, so the table
-    build calls it on one connected component at a time, with m the
-    component's size; counts stay exact in int64 for components of <= 20 items.
-    """
-    n_masks = 1 << m
-    masks = np.arange(n_masks, dtype=np.int64)
-    anc = np.array(anc_masks, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
-    anc_ok = (masks[:, None] & anc[None, :]) == anc[None, :]
-    valid = np.all(~bits | anc_ok, axis=1)
-    sizes = np.zeros(n_masks, dtype=np.int64)
-    for x in range(m):
-        sizes += (masks >> x) & 1
-    by_size = [np.nonzero(valid & (sizes == s))[0] for s in range(m + 1)]
-
-    f = np.zeros(n_masks, dtype=np.int64)
-    f[0] = 1
-    for s in range(m):
-        base = by_size[s]
-        if base.size == 0:
-            continue
-        for x in range(m):
-            sel = base[~bits[base, x] & anc_ok[base, x]]
-            if sel.size:
-                f[sel + (1 << x)] += f[sel]
-
-    g = np.zeros(n_masks, dtype=np.int64)
-    g[n_masks - 1] = 1
-    for s in range(m - 1, -1, -1):
-        base = by_size[s]
-        if base.size == 0:
-            continue
-        for x in range(m):
-            sel = base[~bits[base, x] & anc_ok[base, x]]
-            if sel.size:
-                g[sel] += g[sel + (1 << x)]
-
-    total = float(f[n_masks - 1])
-    table = np.zeros((m, m))
-    for x in range(m):
-        idx = np.nonzero(valid & ~bits[:, x] & anc_ok[:, x])[0]
-        contrib = (f[idx] * g[idx + (1 << x)]).astype(np.float64)
-        table[x] = np.bincount(sizes[idx], weights=contrib, minlength=m)[:m]
-    return table / total
-
-
 def _bits(mask: int) -> list[int]:
     return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
 def _component_table(items: list[int], anc_masks: tuple[int, ...]) -> np.ndarray:
-    """Rank table of a connected component, relabelled to 0..k-1 in order."""
+    """table[x][j-1] = fraction of a connected component's linear extensions
+    placing its x-th item (in ``items`` order) at rank j among its k items.
+
+    Counts over the component's order ideals (downsets) only, built level by
+    level: item x extends ideal S when S holds all of x's ancestors.  f[S]
+    counts the orderings of S and g[S] those of its complement, so placing x
+    right after S contributes f[S] * g[S + x] extensions with x at rank
+    |S| + 1.  The counts are exact ints at any k; the work is bounded by
+    ``IDEAL_BUDGET`` ideals, past which it raises TooLarge.
+    """
     k = len(items)
     local = {x: i for i, x in enumerate(items)}
-    local_anc = tuple(sum(1 << local[a] for a in _bits(anc_masks[x])) for x in items)
-    if k <= UNIFORM_POSET_DP_LIMIT:
-        return _prefix_set_table(k, local_anc)
-    p = PartialOrder((a, b) for b, mask in enumerate(local_anc) for a in _bits(mask))
-    rim = uniform_rim(tuple(range(k)))
-    return np.array([rep_rim_poset(x, rim, p) for x in range(k)])
+    steps = [(i, 1 << i, sum(1 << local[a] for a in _bits(anc_masks[x])))
+             for i, x in enumerate(items)]
+    levels = [{0: 1}]  # levels[s][S] = f[S] over the ideals of size s
+    seen = 1
+    for _ in range(k):
+        nxt: dict[int, int] = {}
+        for ideal, f in levels[-1].items():
+            for _, bit, anc in steps:
+                if not ideal & bit and ideal & anc == anc:
+                    nxt[ideal | bit] = nxt.get(ideal | bit, 0) + f
+            if seen + len(nxt) > IDEAL_BUDGET:
+                raise TooLarge(f"a poset component of {k} items has at least "
+                               f"{seen + len(nxt)} order ideals, past the budget "
+                               f"of {IDEAL_BUDGET}")
+        seen += len(nxt)
+        levels.append(nxt)
+
+    counts = [[0] * k for _ in range(k)]
+    g_after = {(1 << k) - 1: 1}  # g over the ideals one size up
+    for size in range(k - 1, -1, -1):
+        g_here: dict[int, int] = {}
+        for ideal, f in levels[size].items():
+            g = 0
+            for x, bit, anc in steps:
+                if not ideal & bit and ideal & anc == anc:
+                    rest = g_after[ideal | bit]
+                    g += rest
+                    counts[x][size] += f * rest
+            g_here[ideal] = g
+        g_after = g_here
+    total = g_after[0]
+    return np.array([[n / total for n in row] for row in counts])
 
 
 @lru_cache(maxsize=4096)
@@ -489,8 +473,10 @@ def _uniform_poset_table(m: int, anc_masks: tuple[int, ...]) -> np.ndarray:
     ``anc_masks[b]`` has bit a set when a > b in the transitive closure.  The
     linear extensions are the shuffles of the components' extensions, and a
     component of k items lands on a uniformly random k-subset of the ranks.
-    So each component's own k x k table is spread over the m ranks by the
-    hypergeometric interleave, and an isolated item is uniform.
+    So each component's own k x k table, counted over its order ideals by
+    ``_component_table``, is spread over the m ranks by the hypergeometric
+    interleave, and an isolated item is uniform.  A component with more than
+    ``IDEAL_BUDGET`` ideals raises TooLarge.
     """
     components: list[int] = []  # item bit masks
     for b, mask in enumerate(anc_masks):
@@ -509,18 +495,8 @@ def _uniform_poset_table(m: int, anc_masks: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=4096)
-def _ancestor_masks(p: PartialOrder, m: int) -> tuple[int, ...]:
-    """The table key of a poset, built and validated once per (poset, m)."""
-    validate(p, m)
-    anc_masks = [0] * m
-    for a, b in p.closure:
-        anc_masks[b] |= 1 << a
-    return tuple(anc_masks)
-
-
 def uniform_poset_distribution(c: int, p: PartialOrder, m: int) -> RankDistribution:
-    return _uniform_poset_table(m, _ancestor_masks(p, m))[c].copy()
+    return _uniform_poset_table(m, ancestor_masks(p, m))[c].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import mewvote.bench as bench
 from mewvote.cli import main
+from mewvote.rep import _uniform_poset_table
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +94,19 @@ def test_bench_csv(capsys, tmp_path):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0].split(",")[:6] == ["kind", "algo", "m", "n", "rule", "pruning"]
     assert len(lines) == 3
+
+
+def test_bench_repeats_start_with_an_empty_table_cache(monkeypatch):
+    sizes = []
+    real_mew = bench.mew
+
+    def spy(*args, **kwargs):
+        sizes.append(_uniform_poset_table.cache_info().currsize)
+        return real_mew(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "mew", spy)
+    bench.run_bench([bench.BenchRun(kind="poset", m=6, n=10, seed=3)], repeat=3)
+    assert sizes == [0, 0, 0]
 
 
 def test_input_error_exit_code(capsys, tmp_path):

@@ -14,11 +14,13 @@ from mewvote import (
     PartitionedPreference,
     RimModel,
     RsmRankingModel,
+    TooLarge,
     TruncatedRanking,
     UnknownCandidate,
     Unsupported,
     Voter,
     ZeroPosterior,
+    cover_width,
     generate,
     linear_extensions,
     make_rule,
@@ -39,6 +41,7 @@ from mewvote import (
 )
 from mewvote.models import uniform_rim
 from mewvote.oracle import fcp_count, oracle_rank_distribution
+from mewvote.preferences import ancestor_masks
 
 
 # --- closed form over ordered buckets ----------------------------------
@@ -192,6 +195,58 @@ def test_uniform_poset_components_match_extension_frequencies():
                                    atol=1e-12), (shape, p.pairs)
 
 
+# An independent reference for the order-ideal DP: a numpy DP over all 2^m masks.
+def _prefix_set_table(m: int, anc_masks: tuple[int, ...]) -> np.ndarray:
+    """table[c][j-1] = fraction of linear extensions placing c at rank j.
+
+    f[S] counts orderings of a valid prefix set S, g[S] orderings of its
+    complement; placing c right after prefix S contributes f[S] * g[S + c]
+    extensions with c at rank |S| + 1.  Runs over all 2^m masks, so the table
+    build calls it on one connected component at a time, with m the
+    component's size; counts stay exact in int64 for components of <= 20 items.
+    """
+    n_masks = 1 << m
+    masks = np.arange(n_masks, dtype=np.int64)
+    anc = np.array(anc_masks, dtype=np.int64)
+    bits = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
+    anc_ok = (masks[:, None] & anc[None, :]) == anc[None, :]
+    valid = np.all(~bits | anc_ok, axis=1)
+    sizes = np.zeros(n_masks, dtype=np.int64)
+    for x in range(m):
+        sizes += (masks >> x) & 1
+    by_size = [np.nonzero(valid & (sizes == s))[0] for s in range(m + 1)]
+
+    f = np.zeros(n_masks, dtype=np.int64)
+    f[0] = 1
+    for s in range(m):
+        base = by_size[s]
+        if base.size == 0:
+            continue
+        for x in range(m):
+            sel = base[~bits[base, x] & anc_ok[base, x]]
+            if sel.size:
+                f[sel + (1 << x)] += f[sel]
+
+    g = np.zeros(n_masks, dtype=np.int64)
+    g[n_masks - 1] = 1
+    for s in range(m - 1, -1, -1):
+        base = by_size[s]
+        if base.size == 0:
+            continue
+        for x in range(m):
+            sel = base[~bits[base, x] & anc_ok[base, x]]
+            if sel.size:
+                g[sel] += g[sel + (1 << x)]
+
+    total = float(f[n_masks - 1])
+    table = np.zeros((m, m))
+    for x in range(m):
+        idx = np.nonzero(valid & ~bits[:, x] & anc_ok[:, x])[0]
+        contrib = (f[idx] * g[idx + (1 << x)]).astype(np.float64)
+        table[x] = np.bincount(sizes[idx], weights=contrib, minlength=m)[:m]
+    return table / total
+
+
 def test_uniform_poset_components_match_whole_poset_dp():
     rng = np.random.default_rng(14)
     for _ in range(60):
@@ -200,44 +255,83 @@ def test_uniform_poset_components_match_whole_poset_dp():
         anc_masks = [0] * m
         for a, b in p.closure:
             anc_masks[b] |= 1 << a
-        whole = rep._prefix_set_table(m, tuple(anc_masks))
+        whole = _prefix_set_table(m, tuple(anc_masks))
         for c in range(m):
             assert np.allclose(uniform_poset_distribution(c, p, m), whole[c],
                                rtol=0, atol=1e-12), p.pairs
 
 
-def test_uniform_posets_past_the_limit_solve_without_the_tracked_item_dp(monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("rep_rim_poset reached")
+def _unreachable(*args, **kwargs):
+    raise AssertionError("rep_rim_poset reached")
 
+
+def test_uniform_posets_past_the_limit_solve_without_the_tracked_item_dp(monkeypatch):
     rep._uniform_poset_table.cache_clear()
-    monkeypatch.setattr(rep, "rep_rim_poset", unreachable)
+    monkeypatch.setattr(rep, "rep_rim_poset", _unreachable)
     prof = generate(GenSpec(kind="poset", m=17, n=20, p_max=0.1, seed=17))
     result = mew(prof, make_rule("plurality", 17), pruning=False)
     assert sum(result.expected_scores.values()) == pytest.approx(20.0, abs=1e-9)
 
 
-def test_uniform_poset_component_past_the_limit_uses_the_tracked_item_dp(monkeypatch):
-    calls = []
-    original = rep.rep_rim_poset
-
-    def spy(c, model, p, *args, **kwargs):
-        calls.append(len(model.sigma))
-        return original(c, model, p, *args, **kwargs)
-
+def test_uniform_poset_components_of_any_size_use_the_ideal_dp(monkeypatch):
     rep._uniform_poset_table.cache_clear()
-    monkeypatch.setattr(rep, "rep_rim_poset", spy)
-    m, k = 19, rep.UNIFORM_POSET_DP_LIMIT + 1
+    monkeypatch.setattr(rep, "rep_rim_poset", _unreachable)
+    m, k = 19, 17
     chain = PartialChain(range(1, k + 1))  # one component of k items, two isolated
     voter = Voter(None, PartialOrder(chain.to_pairs()))
     for c in range(m):
         assert np.allclose(rep_dispatch(c, voter, m), rep_uniform(c, chain, m),
                            rtol=0, atol=1e-12)
-    assert calls and set(calls) == {k}
-    # a component too wide for the tracked-item DP fails loudly
+    # 18 items above one: 2^18 + 1 order ideals, one past the budget
     wide = PartialOrder([(i, m - 1) for i in range(k + 1)])
-    with pytest.raises(CoverWidthExceeded):
+    with pytest.raises(TooLarge, match=r"component of 19 items has at least 262145 order ideals"):
         rep_dispatch(0, Voter(None, wide), m)
+
+
+def _components(p, m):
+    """Item lists of the connected components of a poset's comparability graph."""
+    linked = {x: {x} for x in range(m)}
+    for a, b in p.closure:
+        linked[a].add(b)
+        linked[b].add(a)
+    seen, out = set(), []
+    for x in range(m):
+        if x not in seen:
+            comp, todo = set(), [x]
+            while todo:
+                y = todo.pop()
+                if y not in comp:
+                    comp.add(y)
+                    todo.extend(linked[y])
+            seen |= comp
+            out.append(sorted(comp))
+    return out
+
+
+def test_uniform_poset_m20_solves_every_component_without_the_tracked_item_dp(monkeypatch):
+    prof = generate(GenSpec(kind="poset", m=20, n=40, p_max=0.1, seed=0))
+    m = prof.m
+    posets = {v.observation for v in prof.voters if isinstance(v.observation, PartialOrder)}
+    large = [(p, items) for p in posets for items in _components(p, m) if len(items) >= 13]
+    assert max(len(items) for _, items in large) == 19
+    checked = 0
+    for p, items in large:
+        k = len(items)
+        local = {x: i for i, x in enumerate(items)}
+        sub = PartialOrder((local[a], local[b]) for a, b in p.closure if a in local)
+        if cover_width(tuple(range(k)), sub) > 4:
+            continue
+        table = rep._component_table(items, ancestor_masks(p, m))
+        for x in range(k):
+            assert np.allclose(table[x], rep_rim_poset(x, uniform_rim(tuple(range(k))), sub),
+                               rtol=0, atol=1e-12)
+        checked += 1
+    assert checked
+
+    rep._uniform_poset_table.cache_clear()
+    monkeypatch.setattr(rep, "rep_rim_poset", _unreachable)
+    result = mew(prof, make_rule("plurality", m), pruning=False)
+    assert sum(result.expected_scores.values()) == pytest.approx(prof.n, abs=1e-9)
 
 
 def test_dispatch_rejects_out_of_range_candidates():
