@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from .engine import mew, mew_parallel
 from .errors import MewError, ParseError, TooLarge, Unsupported, ValidationError
 from .generators import GenSpec, KINDS, generate
-from .mpw import mpw
+from .mpw import STATE_CAP, mpw
 from .oracle import oracle_expected_scores, oracle_mpw
 from .profile_io import load_profile, save_profile
 from .rules import parse_rule
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mpw", help="most probable winner")
     _add_profile_rule(p)
-    p.add_argument("--state-cap", type=int, default=10_000_000)
+    p.add_argument("--state-cap", type=int, default=STATE_CAP)
     p.add_argument("--output", choices=("table", "json"), default="table")
 
     p = sub.add_parser("oracle", help="brute-force expected scores and win probabilities")

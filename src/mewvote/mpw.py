@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import TooLarge
 from .profiles import Profile
-from .rep import Voter, rep_dispatch, voter_support
+from .rep import COMPLETION_CAP, Voter, rep_dispatch, voter_support
 from .rules import ScoringRule, check_rule_size, integer_scores
 
 
@@ -65,7 +65,7 @@ def _assignment_deltas(voter: Voter, m: int, int_scores: tuple[int, ...],
 
 
 def mpw(profile: Profile, rule: ScoringRule, *,
-        state_cap: int = STATE_CAP, support_cap: int = 1_000_000) -> MpwResult:
+        state_cap: int = STATE_CAP, support_cap: int = COMPLETION_CAP) -> MpwResult:
     """Winning probability of every candidate over the possible worlds."""
     t0 = time.perf_counter()
     check_rule_size(rule, profile.m)

@@ -13,7 +13,6 @@ hashable, which the winner engine relies on for voter grouping.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -21,7 +20,8 @@ from .errors import CycleDetected, OverlapViolation, TooLarge, UnknownCandidate,
 
 Ranking = tuple[int, ...]
 
-ENUMERATION_CAP = 10
+COMPLETION_CAP = 1_000_000  # linear extensions one enumeration may list
+IDEAL_BUDGET = 1 << 18  # order ideals one counting pass may visit
 
 
 @dataclass(frozen=True)
@@ -254,22 +254,31 @@ def validate(structure, candidates: CandidateSet | int) -> None:
 
 
 def linear_extensions(p: PartialOrder, candidates: CandidateSet | int,
-                      cap: int = ENUMERATION_CAP) -> list[Ranking]:
+                      cap: int = COMPLETION_CAP) -> list[Ranking]:
     """All rankings consistent with ``p``, in lexicographic index order.
 
-    Guarded by ``cap``: enumeration over m! permutations is a desk-scale tool,
-    not a solver.
+    A depth-first walk of the order-ideal lattice that places an item once its
+    ancestors are placed, smallest index first, so the cost follows the number
+    of extensions, not m!.  More than ``cap`` of them, counted first by
+    ``ideal_levels``, raise TooLarge: counting them is #P-complete.
     """
     m = candidates if isinstance(candidates, int) else candidates.m
-    if m > cap:
-        raise TooLarge(f"m={m} exceeds enumeration cap {cap}; use a solver")
-    validate(p, m)
-    pairs = p.pairs
-    out = []
-    for perm in itertools.permutations(range(m)):
-        pos = {c: j for j, c in enumerate(perm)}
-        if all(pos[a] < pos[b] for a, b in pairs):
-            out.append(perm)
+    anc_masks = ancestor_masks(p, m)
+    count = ideal_levels(anc_masks)[m][(1 << m) - 1]
+    if count > cap:
+        raise TooLarge(f"{count} linear extensions exceed cap {cap}")
+    steps = [(x, 1 << x, anc) for x, anc in enumerate(anc_masks)]
+    out: list[Ranking] = []
+
+    def walk(prefix: Ranking, placed: int) -> None:
+        if len(prefix) == m:
+            out.append(prefix)
+            return
+        for x, bit, anc in steps:
+            if not placed & bit and placed & anc == anc:
+                walk(prefix + (x,), placed | bit)
+
+    walk((), 0)
     return out
 
 
@@ -337,6 +346,30 @@ def ancestor_masks(p: PartialOrder, m: int) -> tuple[int, ...]:
     for a, b in p.closure:
         anc_masks[b] |= 1 << a
     return tuple(anc_masks)
+
+
+def ideal_levels(anc_masks: tuple[int, ...] | list[int]) -> list[dict[int, int]]:
+    """levels[s][S] = orderings of the order ideal S of size s, so levels[k][full]
+    counts the linear extensions.  Item x (bit x) extends ideal S when S holds
+    ``anc_masks[x]``.  More than ``IDEAL_BUDGET`` ideals raise TooLarge.
+    """
+    k = len(anc_masks)
+    steps = [(1 << x, anc) for x, anc in enumerate(anc_masks)]
+    levels = [{0: 1}]
+    seen = 1
+    for _ in range(k):
+        nxt: dict[int, int] = {}
+        for ideal, f in levels[-1].items():
+            for bit, anc in steps:
+                if not ideal & bit and ideal & anc == anc:
+                    nxt[ideal | bit] = nxt.get(ideal | bit, 0) + f
+            if seen + len(nxt) > IDEAL_BUDGET:
+                raise TooLarge(f"a poset component of {k} items has at least "
+                               f"{seen + len(nxt)} order ideals, past the budget "
+                               f"of {IDEAL_BUDGET}")
+        seen += len(nxt)
+        levels.append(nxt)
+    return levels
 
 
 @lru_cache(maxsize=4096)

@@ -30,7 +30,6 @@ scores silently.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,7 +39,6 @@ import numpy as np
 from .errors import (
     CoverWidthExceeded,
     RankOutOfRange,
-    TooLarge,
     UnknownCandidate,
     Unsupported,
     ValidationError,
@@ -56,6 +54,8 @@ from .models import (
     rsm_probability,
 )
 from .preferences import (
+    COMPLETION_CAP,
+    IDEAL_BUDGET,
     Observation,
     PartialChain,
     PartialOrder,
@@ -65,12 +65,13 @@ from .preferences import (
     ancestor_masks,
     bucket_window,
     cover_width,
+    ideal_levels,
+    linear_extensions,
     observation_pairs,
     validate,
 )
 
 COVER_WIDTH_CAP = 6
-IDEAL_BUDGET = 1 << 18  # order ideals one uniform-poset component may count
 
 RankDistribution = np.ndarray
 
@@ -423,47 +424,28 @@ def _component_table(items: list[int], anc_masks: tuple[int, ...]) -> np.ndarray
     """table[x][j-1] = fraction of a connected component's linear extensions
     placing its x-th item (in ``items`` order) at rank j among its k items.
 
-    Counts over the component's order ideals (downsets) only, built level by
-    level: item x extends ideal S when S holds all of x's ancestors.  f[S]
-    counts the orderings of S and g[S] those of its complement, so placing x
-    right after S contributes f[S] * g[S + x] extensions with x at rank
-    |S| + 1.  The counts are exact ints at any k; the work is bounded by
-    ``IDEAL_BUDGET`` ideals, past which it raises TooLarge.
+    f[S] counts the orderings of an order ideal S, from ``ideal_levels``, and
+    g[S] those of its complement, so placing x right after S contributes
+    f[S] * g[S + x] extensions with x at rank |S| + 1, in exact ints at any k.
     """
     k = len(items)
-    local = {x: i for i, x in enumerate(items)}
-    steps = [(i, 1 << i, sum(1 << local[a] for a in _bits(anc_masks[x])))
-             for i, x in enumerate(items)]
-    levels = [{0: 1}]  # levels[s][S] = f[S] over the ideals of size s
-    seen = 1
-    for _ in range(k):
-        nxt: dict[int, int] = {}
-        for ideal, f in levels[-1].items():
-            for _, bit, anc in steps:
-                if not ideal & bit and ideal & anc == anc:
-                    nxt[ideal | bit] = nxt.get(ideal | bit, 0) + f
-            if seen + len(nxt) > IDEAL_BUDGET:
-                raise TooLarge(f"a poset component of {k} items has at least "
-                               f"{seen + len(nxt)} order ideals, past the budget "
-                               f"of {IDEAL_BUDGET}")
-        seen += len(nxt)
-        levels.append(nxt)
+    local_anc = [sum(1 << i for i, a in enumerate(items) if anc_masks[x] >> a & 1)
+                 for x in items]
+    levels = ideal_levels(local_anc)  # levels[s][S] = f[S] over the ideals of size s
+    steps = [(x, 1 << x, anc) for x, anc in enumerate(local_anc)]
 
     counts = [[0] * k for _ in range(k)]
-    g_after = {(1 << k) - 1: 1}  # g over the ideals one size up
+    g = {(1 << k) - 1: 1}
     for size in range(k - 1, -1, -1):
-        g_here: dict[int, int] = {}
         for ideal, f in levels[size].items():
-            g = 0
+            g_ideal = 0
             for x, bit, anc in steps:
                 if not ideal & bit and ideal & anc == anc:
-                    rest = g_after[ideal | bit]
-                    g += rest
+                    rest = g[ideal | bit]
+                    g_ideal += rest
                     counts[x][size] += f * rest
-            g_here[ideal] = g
-        g_after = g_here
-    total = g_after[0]
-    return np.array([[n / total for n in row] for row in counts])
+            g[ideal] = g_ideal
+    return np.array([[n / g[0] for n in row] for row in counts])
 
 
 @lru_cache(maxsize=4096)
@@ -541,40 +523,26 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Posterior support enumeration (used by the possible-winner DP)
+# Posterior support: the observation's linear extensions, weighted by the model
 
 
-def voter_support(voter: Voter, m: int, cap: int = 1_000_000) -> list[tuple[Ranking, float]]:
+def voter_support(voter: Voter, m: int, cap: int = COMPLETION_CAP) -> list[tuple[Ranking, float]]:
     """All rankings with nonzero posterior probability for one voter.
 
-    Completions of the observation, weighted by the generation-step model and
-    renormalized.  Guarded by ``cap`` on the number of completions.
+    The linear extensions of the observation's poset (the empty poset without
+    one), weighted by the generation-step model and renormalized.  More than
+    ``cap`` completions raise TooLarge before any ranking is built.
     """
     obs = voter.observation
-    if obs is None:
-        count = math.factorial(m)
-        if count > cap:
-            raise TooLarge(f"{count} completions exceed cap {cap}")
-        completions = itertools.permutations(range(m))
-    else:
-        if isinstance(obs, TruncatedRanking):
-            pairs = obs.to_partitioned(m).to_pairs()
-        else:
-            pairs = observation_pairs(obs)
-        if math.factorial(m) > 10_000_000:
-            raise TooLarge(f"{m}! permutations to filter is beyond enumeration scale")
-
-        def consistent_perms():
-            for perm in itertools.permutations(range(m)):
-                pos = {x: t for t, x in enumerate(perm)}
-                if all(pos[a] < pos[b] for a, b in pairs):
-                    yield perm
-
-        completions = consistent_perms()
+    pairs: frozenset[tuple[int, int]] = frozenset()
+    if obs is not None:
+        validate(obs, m)
+        pairs = observation_pairs(obs.to_partitioned(m) if isinstance(obs, TruncatedRanking)
+                                  else obs)
 
     model = voter.model
     support: list[tuple[Ranking, float]] = []
-    for r in completions:
+    for r in linear_extensions(PartialOrder(pairs), m, cap):
         if model is None:
             w = 1.0
         elif isinstance(model, MallowsModel):
@@ -587,8 +555,6 @@ def voter_support(voter: Voter, m: int, cap: int = 1_000_000) -> list[tuple[Rank
             raise Unsupported(f"unknown model type {type(model).__name__}")
         if w > 0.0:
             support.append((r, w))
-        if len(support) > cap:
-            raise TooLarge(f"voter support exceeds cap {cap}")
     total = sum(w for _, w in support)
     if total <= 0.0:
         raise ZeroPosterior("observation has zero probability under the model")

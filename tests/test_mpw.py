@@ -9,6 +9,7 @@ from mewvote import (
     TooLarge,
     Voter,
     candidate_set,
+    linear_extensions,
     load_profile,
     make_rule,
     mew,
@@ -112,3 +113,42 @@ def test_state_cap_is_enforced():
     prof = random_supported_profile(rng, m_range=(5, 6), n_range=(4, 5), world_budget=2000)
     with pytest.raises(TooLarge):
         mpw(prof, make_rule("borda", prof.m), state_cap=2)
+
+
+def _insert_free_items(chain, free):
+    """Every ranking of ``chain`` plus ``free`` that keeps the chain's order:
+    each free item inserted at every position in turn, sorted."""
+    rankings = [tuple(chain)]
+    for x in free:
+        rankings = [r[:i] + (x,) + r[i:] for r in rankings for i in range(len(r) + 1)]
+    return sorted(rankings)
+
+
+def test_borda_mpw_solves_near_chain_posets_past_ten_candidates():
+    for m in (11, 12):
+        voters, supports = [], []
+        for shift in (0, 5):  # one near-chain shape under two relabellings
+            order = [(x + shift) % m for x in range(m)]
+            chain, free = order[:-2], order[-2:]
+            p = PartialOrder(PartialChain(chain).to_pairs())
+            exts = _insert_free_items(chain, free)
+            assert len(exts) == (m - 1) * m
+            assert linear_extensions(p, m) == exts
+            voters.append(Voter(None, p))
+            supports.append(exts)
+        prof = Profile(candidate_set(*(f"c{i}" for i in range(m))), voters)
+        res = mpw(prof, make_rule("borda", m))
+
+        def borda(r):
+            vec = np.zeros(m, dtype=np.int64)
+            vec[list(r)] = np.arange(m - 1, -1, -1)
+            return vec
+
+        first, second = (np.array([borda(r) for r in s]) for s in supports)
+        wins = np.zeros(m, dtype=np.int64)
+        for vec in first:
+            total = vec + second
+            wins += (total == total.max(axis=1, keepdims=True)).sum(axis=0)
+        expected = wins / (len(first) * len(second))
+        for c, name in enumerate(prof.candidates.ids):
+            assert res.win_probs[name] == pytest.approx(expected[c], abs=1e-12)

@@ -2,7 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import SUPPORTED_COMBOS, random_poset, random_supported_voter
+from conftest import (
+    OBSERVATION_KINDS,
+    SUPPORTED_COMBOS,
+    random_model,
+    random_observation,
+    random_poset,
+    random_supported_voter,
+)
 
 import mewvote.rep as rep
 from mewvote import (
@@ -24,6 +31,7 @@ from mewvote import (
     generate,
     linear_extensions,
     make_rule,
+    mallows_probability,
     mallows_to_rim,
     mallows_to_rsm,
     mew,
@@ -38,10 +46,11 @@ from mewvote import (
     rsm_probability,
     rsm_rank_distribution,
     uniform_poset_distribution,
+    voter_support,
 )
 from mewvote.models import uniform_rim
 from mewvote.oracle import fcp_count, oracle_rank_distribution
-from mewvote.preferences import ancestor_masks
+from mewvote.preferences import ancestor_masks, observation_pairs
 
 
 # --- closed form over ordered buckets ----------------------------------
@@ -349,6 +358,66 @@ def test_dispatch_rejects_out_of_range_candidates():
         for c in (0, 5):
             with pytest.raises(UnknownCandidate):
                 rep_dispatch(c, Voter(None, obs), 10)
+
+
+def test_voter_support_rejects_out_of_range_observations():
+    for obs, m in ((PartialOrder([(0, 12)]), 10), (PartialOrder([(0, -1)]), 10),
+                   (PartialChain((0, 12)), 10), (TruncatedRanking((12,), ()), 5),
+                   (PartitionedPreference([[0], [1]], missing=[12]), 10)):  # in no pair
+        with pytest.raises(UnknownCandidate):
+            voter_support(Voter(None, obs), m)
+
+
+# The m! permutation filter voter_support ran before it walked the order-ideal
+# lattice, kept as an independent reference for its rankings, order and weights.
+def _filtered_support(voter, m):
+    obs, model = voter.observation, voter.model
+    if obs is None:
+        pairs = frozenset()
+    elif isinstance(obs, TruncatedRanking):
+        pairs = obs.to_partitioned(m).to_pairs()
+    else:
+        pairs = observation_pairs(obs)
+    support = []
+    for perm in itertools.permutations(range(m)):
+        pos = {x: t for t, x in enumerate(perm)}
+        if all(pos[a] < pos[b] for a, b in pairs):
+            if model is None:
+                w = 1.0
+            elif isinstance(model, MallowsModel):
+                w = mallows_probability(perm, model)
+            else:
+                w = rim_probability(perm, model)
+            if w > 0.0:
+                support.append((perm, w))
+    total = sum(w for _, w in support)
+    return [(r, w / total) for r, w in support]
+
+
+def test_voter_support_matches_the_permutation_filter():
+    rng = np.random.default_rng(41)
+    for m in range(3, 7):
+        for model_kind in ("uniform", "mallows", "rim"):
+            for obs_kind in (None, *OBSERVATION_KINDS):
+                for _ in range(2):
+                    obs = random_observation(rng, m, obs_kind) if obs_kind else None
+                    voter = Voter(random_model(rng, m, model_kind), obs)
+                    got, want = voter_support(voter, m), _filtered_support(voter, m)
+                    assert [r for r, _ in got] == [r for r, _ in want], (voter, m)
+                    assert np.allclose([w for _, w in got], [w for _, w in want],
+                                       rtol=0, atol=1e-12), (voter, m)
+    model = RimModel((0, 1, 2), [[1.0], [0.0, 1.0], [0.5, 0.0, 0.5]])  # 0 above 1 always
+    with pytest.raises(ZeroPosterior):
+        voter_support(Voter(model, PartialChain((1, 0))), 3)
+
+
+def test_voter_support_counts_completions_before_weighting_any(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a ranking was weighted")
+
+    monkeypatch.setattr(rep, "mallows_probability", refuse)
+    with pytest.raises(TooLarge):  # 10! completions, past the cap
+        voter_support(Voter(MallowsModel(tuple(range(10)), 0.5), None), 10)
 
 
 def test_weighted_poset_posterior_matches_oracle():
