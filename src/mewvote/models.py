@@ -13,11 +13,18 @@ sigma) and is a special case of both: row i of the insertion matrix is
 matrix is ``phi**(j-1) / (1 + phi + ... + phi**(m-i))``.  Normalizers are
 accumulated by explicit summation so that phi = 1 (the uniform distribution)
 is exact.
+
+A ``MallowsModel`` carries its insertion rows as ``pi``, built once per
+(phi, m) and shared by every model with those values, so it is passed
+unconverted to every reader of an insertion model (``rim_probability``,
+``sample`` and the insertion DPs in ``rep``).  ``mallows_to_rim`` gives the
+same rows as a plain ``RimModel``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,6 +92,19 @@ class MallowsModel:
     def m(self) -> int:
         return len(self.sigma)
 
+    @cached_property
+    def pi(self) -> tuple[tuple[float, ...], ...]:
+        """Insertion rows, cached per (phi, m); not a field, so equality,
+        hashing and repr read sigma and phi only."""
+        return _insertion_rows(self.phi, self.m)
+
+
+@lru_cache(maxsize=4096)  # solvers run once per candidate: check each (sigma, m) once
+def validate_reference(sigma: Ranking, m: int) -> None:
+    """Check that a model's reference ranking orders exactly the m candidates."""
+    if sorted(sigma) != list(range(m)):
+        raise ValidationError("model reference ranking is not over the candidate set")
+
 
 def _geometric_row(phi: float, powers: list[int]) -> tuple[float, ...]:
     weights = [phi ** e for e in powers]
@@ -94,16 +114,22 @@ def _geometric_row(phi: float, powers: list[int]) -> tuple[float, ...]:
     return tuple(w / z for w in weights)
 
 
+@lru_cache(maxsize=1024)
+def _insertion_rows(phi: float, m: int) -> tuple[tuple[float, ...], ...]:
+    return tuple(_geometric_row(phi, [i - j for j in range(1, i + 1)]) for i in range(1, m + 1))
+
+
+@lru_cache(maxsize=1024)
+def _selection_rows(phi: float, m: int) -> tuple[tuple[float, ...], ...]:
+    return tuple(_geometric_row(phi, list(range(m - i + 1))) for i in range(1, m + 1))
+
+
 def mallows_to_rim(model: MallowsModel) -> RimModel:
-    m = model.m
-    rows = [_geometric_row(model.phi, [i - j for j in range(1, i + 1)]) for i in range(1, m + 1)]
-    return RimModel(model.sigma, rows, check=False)
+    return RimModel(model.sigma, model.pi, check=False)
 
 
 def mallows_to_rsm(model: MallowsModel) -> RsmRankingModel:
-    m = model.m
-    rows = [_geometric_row(model.phi, list(range(m - i + 1))) for i in range(1, m + 1)]
-    return RsmRankingModel(model.sigma, rows, check=False)
+    return RsmRankingModel(model.sigma, _selection_rows(model.phi, model.m), check=False)
 
 
 def uniform_rim(sigma: Ranking) -> RimModel:
@@ -132,7 +158,7 @@ def rim_insertion_positions(r: Ranking, sigma: Ranking) -> list[int]:
     return out
 
 
-def rim_probability(r: Ranking, model: RimModel) -> float:
+def rim_probability(r: Ranking, model: RimModel | MallowsModel) -> float:
     """Probability that the insertion process generates ``r``."""
     p = 1.0
     for i, j in enumerate(rim_insertion_positions(r, model.sigma), start=1):
@@ -153,7 +179,7 @@ def rsm_probability(r: Ranking, model: RsmRankingModel) -> float:
 
 def mallows_probability(r: Ranking, model: MallowsModel) -> float:
     """Exact Mallows probability via the insertion-model factorization."""
-    return rim_probability(r, mallows_to_rim(model))
+    return rim_probability(r, model)
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -165,9 +191,7 @@ def _as_rng(rng) -> np.random.Generator:
 def sample(model, rng) -> Ranking:
     """Draw one ranking; deterministic for a given seed (PCG64 stream)."""
     gen = _as_rng(rng)
-    if isinstance(model, MallowsModel):
-        model = mallows_to_rim(model)
-    if isinstance(model, RimModel):
+    if isinstance(model, (MallowsModel, RimModel)):
         out: list[int] = []
         for i, c in enumerate(model.sigma, start=1):
             j = gen.choice(i, p=model.pi[i - 1]) + 1

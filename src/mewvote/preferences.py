@@ -264,15 +264,16 @@ def linear_extensions(p: PartialOrder, candidates: CandidateSet | int,
     """
     m = candidates if isinstance(candidates, int) else candidates.m
     anc_masks = ancestor_masks(p, m)
-    count = ideal_levels(anc_masks)[m][(1 << m) - 1]
+    full = (1 << m) - 1
+    count = ideal_levels(anc_masks)[m][full]
     if count > cap:
         raise TooLarge(f"{count} linear extensions exceed cap {cap}")
     steps = [(x, 1 << x, anc) for x, anc in enumerate(anc_masks)]
     out: list[Ranking] = []
 
     def walk(prefix: Ranking, placed: int) -> None:
-        if len(prefix) == m:
-            out.append(prefix)
+        if len(prefix) >= m - 1:  # the one item left, if any, has its ancestors placed
+            out.append(prefix + ((full ^ placed).bit_length() - 1,) if placed != full else prefix)
             return
         for x, bit, anc in steps:
             if not placed & bit and placed & anc == anc:
@@ -282,26 +283,29 @@ def linear_extensions(p: PartialOrder, candidates: CandidateSet | int,
     return out
 
 
-def cover_width(sigma: Ranking, p: PartialOrder) -> int:
-    """Maximum number of simultaneously tracked items during insertion in sigma order.
+@lru_cache(maxsize=4096)
+def tracked_items(sigma: Ranking, p: PartialOrder) -> tuple[tuple[int, ...], ...]:
+    """The items tracked after each insertion step in sigma order, in sigma order.
 
     An item is tracked from the step it is inserted (that step counts) until
     every item it is directly related to in the cover relation has been
-    inserted.
+    inserted.  This is the state plan of the tracked-item insertion DP.
     """
     partners: dict[int, set[int]] = {}
     for a, b in p.cover_pairs:
         partners.setdefault(a, set()).add(b)
         partners.setdefault(b, set()).add(a)
-    width = 0
-    inserted: set[int] = set()
     remaining = set(sigma)
-    for c in sigma:
-        inserted.add(c)
-        remaining.discard(c)
-        tracked = sum(1 for x in inserted if partners.get(x) and partners[x] & remaining)
-        width = max(width, tracked)
-    return width
+    tracked = []
+    for i, u in enumerate(sigma, start=1):
+        remaining.discard(u)
+        tracked.append(tuple(x for x in sigma[:i] if partners.get(x) and partners[x] & remaining))
+    return tuple(tracked)
+
+
+def cover_width(sigma: Ranking, p: PartialOrder) -> int:
+    """Maximum number of simultaneously tracked items during insertion in sigma order."""
+    return max(map(len, tracked_items(sigma, p)), default=0)
 
 
 def bucket_window(c: int, obs: Observation | None, m: int) -> tuple[int, int, int] | None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .models import validate_reference
 from .preferences import CandidateSet, validate
 from .rep import Voter
 
@@ -22,8 +23,8 @@ class Profile:
         m = candidates.m
         for i, v in enumerate(self.voters):
             try:
-                if v.model is not None and sorted(v.model.sigma) != list(range(m)):
-                    raise ValidationError("model reference ranking is not over the candidate set")
+                if v.model is not None:
+                    validate_reference(v.model.sigma, m)
                 if v.observation is not None:
                     validate(v.observation, m)
             except ValidationError as exc:

@@ -13,7 +13,8 @@ model plus optional observation) to the cheapest applicable solver:
     by ``IDEAL_BUDGET`` ideals, and spread over the m ranks by a
     hypergeometric interleave;
   - an insertion-position dynamic program for insertion models (and Mallows,
-    via its insertion-model form);
+    via its insertion-model form: a ``MallowsModel`` carries its insertion
+    rows, so every insertion solver takes it as it is);
   - a selection dynamic program for ranking selection models;
   - for Mallows given a fully partitioned preference or a truncated ranking,
     the same insertion DP restricted to the target's bucket;
@@ -49,9 +50,9 @@ from .models import (
     RimModel,
     RsmRankingModel,
     mallows_probability,
-    mallows_to_rim,
     rim_probability,
     rsm_probability,
+    validate_reference,
 )
 from .preferences import (
     COMPLETION_CAP,
@@ -68,6 +69,7 @@ from .preferences import (
     ideal_levels,
     linear_extensions,
     observation_pairs,
+    tracked_items,
     validate,
 )
 
@@ -144,7 +146,7 @@ def rep_uniform(c: int, obs: Observation | None, m: int) -> RankDistribution:
 # Insertion-model DP (all ranks of one candidate in a single pass)
 
 
-def rep_rim(c: int, model: RimModel) -> RankDistribution:
+def rep_rim(c: int, model: RimModel | MallowsModel) -> RankDistribution:
     """Track the target's position through the insertion process.
 
     Until the target is inserted the state carries no information (each
@@ -220,51 +222,33 @@ def rep_rsm(c: int, k: int, model: RsmRankingModel) -> float:
 # Insertion model conditioned on a poset (tracked-item DP)
 
 
-def rep_rim_poset(c: int, model: RimModel, p: PartialOrder,
+def rep_rim_poset(c: int, model: RimModel | MallowsModel, p: PartialOrder,
                   cw_cap: int = COVER_WIDTH_CAP) -> RankDistribution:
     """Posterior rank distribution of ``c`` under an insertion model given a poset.
 
-    States map tracked items to positions.  An inserted item is tracked while
-    some item it directly covers (or is covered by) is still pending; the
-    target is tracked from its insertion to the end.  Insertion positions are
+    States map tracked items to positions: the items ``tracked_items`` keeps
+    while some item they directly cover (or are covered by) is still pending,
+    plus the target from its insertion to the end.  Insertion positions are
     restricted by the tracked items related to the incoming one, which is
     sufficient because relations through already-dropped items were enforced
     when those items were inserted.
     """
     sigma, pi = model.sigma, model.pi
     m = len(sigma)
-    validate(p, m)
+    anc_masks = ancestor_masks(p, m)  # validates p against m
     cw = cover_width(sigma, p)
     if cw > cw_cap:
         raise CoverWidthExceeded(f"cover width {cw} exceeds cap {cw_cap}")
-
-    closure = p.closure
-    anc: dict[int, set[int]] = {}
-    desc: dict[int, set[int]] = {}
-    for a, b in closure:
-        anc.setdefault(b, set()).add(a)
-        desc.setdefault(a, set()).add(b)
-    partners: dict[int, set[int]] = {}
-    for a, b in p.cover_pairs:
-        partners.setdefault(a, set()).add(b)
-        partners.setdefault(b, set()).add(a)
-
-    remaining = set(sigma)
-    tracked_after: list[tuple[int, ...]] = []
-    for i, u in enumerate(sigma, start=1):
-        remaining.discard(u)
-        tracked_after.append(tuple(
-            x for x in sigma[:i]
-            if x == c or (partners.get(x) and partners[x] & remaining)
-        ))
+    tracked_after = [tuple(x for x in sigma[:i] if x == c or x in tracked)
+                     for i, tracked in enumerate(tracked_items(sigma, p), start=1)]
 
     states: dict[tuple[int, ...], float] = {(): 1.0}
     for i, u in enumerate(sigma, start=1):
         prev_tracked = tracked_after[i - 2] if i >= 2 else ()
         new_tracked = tracked_after[i - 1]
         prev_idx = {x: t for t, x in enumerate(prev_tracked)}
-        above = [prev_idx[x] for x in anc.get(u, ()) if x in prev_idx]
-        below = [prev_idx[x] for x in desc.get(u, ()) if x in prev_idx]
+        above = [t for t, x in enumerate(prev_tracked) if anc_masks[u] >> x & 1]
+        below = [t for t, x in enumerate(prev_tracked) if anc_masks[x] >> u & 1]
         keep = [(t, prev_idx[x]) for t, x in enumerate(new_tracked) if x != u]
         u_slot = new_tracked.index(u) if u in new_tracked else -1
         row = pi[i - 1]
@@ -303,7 +287,8 @@ def rep_rim_poset(c: int, model: RimModel, p: PartialOrder,
 # ---------------------------------------------------------------------------
 # Insertion model conditioned on a truncated ranking
 
-def rep_rim_truncated(c: int, model: RimModel, tr: TruncatedRanking) -> RankDistribution:
+def rep_rim_truncated(c: int, model: RimModel | MallowsModel,
+                      tr: TruncatedRanking) -> RankDistribution:
     """Insertion DP where top/bottom items have forced positions.
 
     The set of inserted items at each step is fixed by the reference order,
@@ -312,7 +297,7 @@ def rep_rim_truncated(c: int, model: RimModel, tr: TruncatedRanking) -> RankDist
     """
     sigma, pi = model.sigma, model.pi
     m = len(sigma)
-    validate(tr, m)
+    _validate_once(tr, m)
     top_rank = {u: t for t, u in enumerate(tr.top)}
     bot_rank = {u: t for t, u in enumerate(tr.bottom)}
     c_in_middle = c not in top_rank and c not in bot_rank
@@ -398,6 +383,7 @@ def rep_mallows_partitioned(c: int, model: MallowsModel, fp: PartitionedPreferen
     its bucket follows a Mallows over the bucket with the same dispersion.
     """
     m = len(model.sigma) if m is None else m
+    _validate_once(fp, m)
     if not fp.is_fully_partitioned(m):
         raise ValidationError("preference is not fully partitioned")
     i = fp.bucket_of(c)
@@ -406,7 +392,7 @@ def rep_mallows_partitioned(c: int, model: MallowsModel, fp: PartitionedPreferen
     k_left = sum(len(b) for b in fp.buckets[:i])
     bucket = fp.buckets[i]
     sub_sigma = tuple(x for x in model.sigma if x in bucket)
-    local = rep_rim(c, mallows_to_rim(MallowsModel(sub_sigma, model.phi)))
+    local = rep_rim(c, MallowsModel(sub_sigma, model.phi))
     probs = np.zeros(m)
     probs[k_left:k_left + len(bucket)] = local
     return probs
@@ -491,11 +477,6 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
         raise UnknownCandidate(f"candidate index {c} outside 0..{m - 1}")
     model, obs = voter.model, voter.observation
 
-    if isinstance(model, RsmRankingModel):
-        if obs is not None:
-            raise Unsupported("no exact solver for a selection model with an observation")
-        return rsm_rank_distribution(c, model)
-
     if model is None:
         if isinstance(obs, PartialOrder):
             return uniform_poset_distribution(c, obs, m)
@@ -503,23 +484,26 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
             return rep_uniform(c, obs, m)
         raise Unsupported(f"unknown observation type {type(obs).__name__}")
 
+    if not isinstance(model, (MallowsModel, RimModel, RsmRankingModel)):
+        raise Unsupported(f"unknown model type {type(model).__name__}")
+    validate_reference(model.sigma, m)
+
+    if isinstance(model, RsmRankingModel):
+        if obs is not None:
+            raise Unsupported("no exact solver for a selection model with an observation")
+        return rsm_rank_distribution(c, model)
+
     if isinstance(model, MallowsModel):
-        if obs is None:
-            return rep_rim(c, mallows_to_rim(model))
         if isinstance(obs, PartitionedPreference) and obs.is_fully_partitioned(m):
             return rep_mallows_partitioned(c, model, obs, m)
         if isinstance(obs, TruncatedRanking):
             return rep_mallows_partitioned(c, model, obs.to_partitioned(m), m)
-        return rep_rim_poset(c, mallows_to_rim(model), PartialOrder(observation_pairs(obs)))
 
-    if isinstance(model, RimModel):
-        if obs is None:
-            return rep_rim(c, model)
-        if isinstance(obs, TruncatedRanking):
-            return rep_rim_truncated(c, model, obs)
-        return rep_rim_poset(c, model, PartialOrder(observation_pairs(obs)))
-
-    raise Unsupported(f"unknown model type {type(model).__name__}")
+    if obs is None:  # insertion models, Mallows included
+        return rep_rim(c, model)
+    if isinstance(obs, TruncatedRanking):
+        return rep_rim_truncated(c, model, obs)
+    return rep_rim_poset(c, model, PartialOrder(observation_pairs(obs)))
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +525,10 @@ def voter_support(voter: Voter, m: int, cap: int = COMPLETION_CAP) -> list[tuple
                                   else obs)
 
     model = voter.model
+    if model is not None:
+        if not isinstance(model, (MallowsModel, RimModel, RsmRankingModel)):
+            raise Unsupported(f"unknown model type {type(model).__name__}")
+        validate_reference(model.sigma, m)
     support: list[tuple[Ranking, float]] = []
     for r in linear_extensions(PartialOrder(pairs), m, cap):
         if model is None:
@@ -549,10 +537,8 @@ def voter_support(voter: Voter, m: int, cap: int = COMPLETION_CAP) -> list[tuple
             w = mallows_probability(r, model)
         elif isinstance(model, RimModel):
             w = rim_probability(r, model)
-        elif isinstance(model, RsmRankingModel):
-            w = rsm_probability(r, model)
         else:
-            raise Unsupported(f"unknown model type {type(model).__name__}")
+            w = rsm_probability(r, model)
         if w > 0.0:
             support.append((r, w))
     total = sum(w for _, w in support)

@@ -8,9 +8,12 @@ from conftest import (
     random_model,
     random_observation,
     random_poset,
+    random_ranking,
     random_supported_voter,
+    random_truncated,
 )
 
+import mewvote.models as models
 import mewvote.rep as rep
 from mewvote import (
     CoverWidthExceeded,
@@ -25,6 +28,7 @@ from mewvote import (
     TruncatedRanking,
     UnknownCandidate,
     Unsupported,
+    ValidationError,
     Voter,
     ZeroPosterior,
     cover_width,
@@ -45,6 +49,7 @@ from mewvote import (
     rim_probability,
     rsm_probability,
     rsm_rank_distribution,
+    sample,
     uniform_poset_distribution,
     voter_support,
 )
@@ -103,6 +108,32 @@ def test_rim_two_items():
 def test_rim_last_item_uniform_rows():
     rim = mallows_to_rim(MallowsModel((0, 1, 2, 3), 1.0))
     assert np.allclose(rep_rim(3, rim), [0.25] * 4, atol=1e-15)
+
+
+def test_insertion_readers_take_a_mallows_model_as_it_is():
+    rng = np.random.default_rng(8)
+    for m in range(3, 8):
+        for _ in range(3):
+            mallows = random_model(rng, m, "mallows")
+            rim = mallows_to_rim(mallows)
+            p, tr = random_poset(rng, m), random_truncated(rng, m)
+            for c in range(m):
+                assert np.array_equal(rep_rim(c, mallows), rep_rim(c, rim))
+                assert np.array_equal(rep_rim_poset(c, mallows, p), rep_rim_poset(c, rim, p))
+                assert np.array_equal(rep_rim_truncated(c, mallows, tr),
+                                      rep_rim_truncated(c, rim, tr))
+            r = random_ranking(rng, m)
+            assert rim_probability(r, mallows) == rim_probability(r, rim)
+            assert sample(mallows, m) == sample(rim, m)
+
+
+def test_mallows_rows_are_built_once_per_phi_and_m(monkeypatch):
+    calls = []
+    build = models._geometric_row
+    monkeypatch.setattr(models, "_geometric_row", lambda *args: calls.append(args) or build(*args))
+    models._insertion_rows.cache_clear()
+    voter_support(Voter(MallowsModel(tuple(range(7)), 0.5)), 7)  # weighs 5,040 rankings
+    assert len(calls) <= 7
 
 
 def test_rim_matches_brute_force():
@@ -353,11 +384,14 @@ def test_dispatch_rejects_out_of_range_candidates():
     with pytest.raises(UnknownCandidate):
         rep_dispatch(-1, Voter(None, PartialChain((0, 1))), 10)
     # observation items past m - 1 or negative, whether or not they place c
+    mallows = MallowsModel(tuple(range(10)), 0.5)
     for obs in (PartialChain((0, 12)), PartitionedPreference([[0], [12]]),
-                PartialOrder([(0, -1)]), TruncatedRanking((12,), ())):
-        for c in (0, 5):
-            with pytest.raises(UnknownCandidate):
-                rep_dispatch(c, Voter(None, obs), 10)
+                PartialOrder([(0, -1)]), TruncatedRanking((12,), ()),
+                PartitionedPreference([range(9), [12]])):  # ten items, one past m - 1
+        for model in (None, mallows, mallows_to_rim(mallows)):
+            for c in (0, 5):
+                with pytest.raises(UnknownCandidate):
+                    rep_dispatch(c, Voter(model, obs), 10)
 
 
 def test_voter_support_rejects_out_of_range_observations():
@@ -468,6 +502,14 @@ def test_truncated_no_constraint_matches_plain_rim():
         assert np.allclose(rep_rim_truncated(c, model, tr), rep_rim(c, model), atol=1e-12)
 
 
+def test_truncated_route_validates_each_observation_once():
+    model, tr = MallowsModel((0, 1, 2, 3, 4), 0.5), TruncatedRanking((3,), (1,))
+    rep._validate_once.cache_clear()
+    for c in range(5):
+        rep_rim_truncated(c, model, tr)
+    assert rep._validate_once.cache_info().misses == 1
+
+
 def test_truncated_posterior_matches_oracle():
     rng = np.random.default_rng(8)
     for _ in range(25):
@@ -518,6 +560,18 @@ def test_dispatch_routes_to_closed_forms():
     mal = MallowsModel((0, 1, 2), 0.5)
     assert np.allclose(rep_dispatch(1, Voter(mal, None), 3),
                        rep_rim(1, mallows_to_rim(mal)), atol=1e-15)
+
+
+def test_model_reference_ranking_must_order_the_candidates():
+    for sigma in ((0, 1, 2), (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 7)):
+        mallows = MallowsModel(sigma, 0.5)
+        for model in (mallows, mallows_to_rim(mallows), mallows_to_rsm(mallows)):
+            for obs in (None, PartialChain((0, 1))):
+                for c in (0, 4):
+                    with pytest.raises(ValidationError, match="model reference ranking"):
+                        rep_dispatch(c, Voter(model, obs), 5)
+                with pytest.raises(ValidationError, match="model reference ranking"):
+                    voter_support(Voter(model, obs), 5)
 
 
 def test_dispatch_rejects_selection_model_with_observation():
