@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidK, ValidationError
-from .models import MallowsModel, mallows_to_rim, mallows_to_rsm
+from .models import MallowsModel, _selection_rows, mallows_to_rim, mallows_to_rsm
 from .preferences import (
     CandidateSet,
     PartialChain,
@@ -83,7 +83,7 @@ def _voter_rngs(spec: GenSpec) -> list[np.random.Generator]:
 def _rsm_poset(m: int, phi: float, p_max: float, rng: np.random.Generator,
                edge_probs=None) -> PartialOrder:
     """Emit preference pairs via repeated selection with per-voter edge probabilities."""
-    selection = mallows_to_rsm(MallowsModel(tuple(range(m)), phi)).pi
+    selection = _selection_rows(phi, m)
     edge_p = rng.uniform(0.0, p_max, size=m - 1) if edge_probs is None else edge_probs
     remaining = list(range(m))
     pairs = []

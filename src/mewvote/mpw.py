@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import TooLarge
 from .profiles import Profile
-from .rep import COMPLETION_CAP, Voter, rep_dispatch, voter_support
+from .rep import Voter, rep_dispatch, voter_support
 from .rules import ScoringRule, check_rule_size, integer_scores
 
 
@@ -35,8 +35,8 @@ STATE_CAP = 10_000_000
 WIN_PROB_TOL = 1e-12
 
 
-def _assignment_deltas(voter: Voter, m: int, int_scores: tuple[int, ...],
-                       support_cap: int) -> list[tuple[tuple[int, ...], float]]:
+def _assignment_deltas(voter: Voter, m: int,
+                       int_scores: tuple[int, ...]) -> list[tuple[tuple[int, ...], float]]:
     """Distribution over the integer score vectors one voter can contribute."""
     base, rest = int_scores[0], int_scores[1:]
     plurality_like = all(s == rest[0] for s in rest) and base > rest[0]
@@ -55,7 +55,7 @@ def _assignment_deltas(voter: Voter, m: int, int_scores: tuple[int, ...],
         return out
 
     merged: dict[tuple[int, ...], float] = {}
-    for ranking, p in voter_support(voter, m, cap=support_cap):
+    for ranking, p in voter_support(voter, m):
         delta = [0] * m
         for j, c in enumerate(ranking):
             delta[c] = int_scores[j]
@@ -64,8 +64,7 @@ def _assignment_deltas(voter: Voter, m: int, int_scores: tuple[int, ...],
     return list(merged.items())
 
 
-def mpw(profile: Profile, rule: ScoringRule, *,
-        state_cap: int = STATE_CAP, support_cap: int = COMPLETION_CAP) -> MpwResult:
+def mpw(profile: Profile, rule: ScoringRule, *, state_cap: int = STATE_CAP) -> MpwResult:
     """Winning probability of every candidate over the possible worlds."""
     t0 = time.perf_counter()
     check_rule_size(rule, profile.m)
@@ -75,7 +74,7 @@ def mpw(profile: Profile, rule: ScoringRule, *,
     states: dict[tuple[int, ...], float] = {(0,) * m: 1.0}
     worlds_explored = 1
     for voter in profile.voters:
-        deltas = _assignment_deltas(voter, m, int_scores, support_cap)
+        deltas = _assignment_deltas(voter, m, int_scores)
         for _ in range(voter.weight):  # a weight-w voter is w independent voters
             nstates: dict[tuple[int, ...], float] = {}
             for sv, p in states.items():

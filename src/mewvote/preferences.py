@@ -368,7 +368,7 @@ def ideal_levels(anc_masks: tuple[int, ...] | list[int]) -> list[dict[int, int]]
                 if not ideal & bit and ideal & anc == anc:
                     nxt[ideal | bit] = nxt.get(ideal | bit, 0) + f
             if seen + len(nxt) > IDEAL_BUDGET:
-                raise TooLarge(f"a poset component of {k} items has at least "
+                raise TooLarge(f"a poset over {k} items has at least "
                                f"{seen + len(nxt)} order ideals, past the budget "
                                f"of {IDEAL_BUDGET}")
         seen += len(nxt)

@@ -12,14 +12,15 @@ model plus optional observation) to the cheapest applicable solver:
     the poset by one counting DP over the component's order ideals, bounded
     by ``IDEAL_BUDGET`` ideals, and spread over the m ranks by a
     hypergeometric interleave;
-  - an insertion-position dynamic program for insertion models (and Mallows,
-    via its insertion-model form: a ``MallowsModel`` carries its insertion
-    rows, so every insertion solver takes it as it is);
+  - one windowed insertion-position dynamic program, ``rep_rim``, for
+    insertion models (and Mallows, via its insertion-model form: a
+    ``MallowsModel`` carries its insertion rows, so every insertion solver
+    takes it as it is) with no observation or given a fully partitioned
+    preference or a truncated ranking (its top and bottom items are one-item
+    buckets): each step restricts the incoming item to its bucket's window;
   - a selection dynamic program for ranking selection models;
   - for Mallows given a fully partitioned preference or a truncated ranking,
-    the same insertion DP restricted to the target's bucket;
-  - for other insertion models given a truncated ranking, an insertion DP
-    in which the top and bottom items have forced positions;
+    the cheaper plain insertion DP restricted to the target's bucket;
   - for insertion models given any other observation, a tracked-item
     insertion DP over the observation's poset, whose cost is exponential in
     the poset's cover width.
@@ -146,31 +147,67 @@ def rep_uniform(c: int, obs: Observation | None, m: int) -> RankDistribution:
 # Insertion-model DP (all ranks of one candidate in a single pass)
 
 
-def rep_rim(c: int, model: RimModel | MallowsModel) -> RankDistribution:
-    """Track the target's position through the insertion process.
+def rep_rim(c: int, model: RimModel | MallowsModel,
+            fp: PartitionedPreference | None = None) -> RankDistribution:
+    """Track the target's position through the insertion process, optionally
+    given a fully partitioned preference ``fp``.
 
-    Until the target is inserted the state carries no information (each
-    insertion row sums to 1), so the DP starts at the target's insertion
-    step.  Afterwards, inserting at a position <= k shifts the target from k
-    to k + 1.
+    Inserting at a position <= k shifts the target from k to k + 1.  Under
+    ``fp`` each bucket's placed items form one block, so an item of bucket b
+    can land only in the window [1 + placed items of buckets above b,
+    that + placed items of b].  The window depends on counts alone, so the
+    evidence factors over the steps: dividing each step's row by its
+    window mass keeps the state the posterior with no product to underflow,
+    and zero mass raises ZeroPosterior.  With no observation the window is the
+    whole row and, until the target is inserted, the state carries no
+    information (each row sums to 1), so the DP starts at the target's
+    insertion step.
     """
     sigma, pi = model.sigma, model.pi
     m = len(sigma)
     i_c = sigma.index(c) + 1
-    q = list(pi[i_c - 1])  # q[k-1] = Pr(target at position k) among i_c items
-    for i in range(i_c + 1, m + 1):
-        row = pi[i - 1]
-        nq = [0.0] * i
-        for k0, mass in enumerate(q):
-            if mass == 0.0:
-                continue
-            for j0 in range(i):
-                if j0 <= k0:
-                    nq[k0 + 1] += mass * row[j0]
-                else:
-                    nq[k0] += mass * row[j0]
-        q = nq
+    start = i_c
+    if fp is not None:
+        _validate_once(fp, m)
+        if not fp.is_fully_partitioned(m):
+            raise ValidationError("preference is not fully partitioned")
+        bucket = {x: b for b, items in enumerate(fp.buckets) for x in items}
+        placed = [0] * len(fp.buckets)
+        start = 1
+    q: list[float] = []  # q[k-1] = Pr(target at position k), once inserted
+    for i in range(start, m + 1):
+        row, lo, hi = pi[i - 1], 0, i  # window of 0-based positions [lo, hi)
+        if fp is not None:
+            b = bucket[sigma[i - 1]]
+            lo = sum(placed[:b])
+            hi = lo + placed[b] + 1
+            placed[b] += 1
+            w = sum(row[lo:hi])
+            if w == 0.0:
+                raise ZeroPosterior("observation has zero probability under the model")
+            row = [p / w for p in row]
+        if i == i_c:
+            q = [0.0] * i
+            q[lo:hi] = row[lo:hi]
+        elif q:
+            nq = [0.0] * i
+            for k0, mass in enumerate(q):
+                if mass == 0.0:
+                    continue
+                for j0 in range(lo, hi):
+                    if j0 <= k0:
+                        nq[k0 + 1] += mass * row[j0]
+                    else:
+                        nq[k0] += mass * row[j0]
+            q = nq
     return np.array(q)
+
+
+def rep_rim_truncated(c: int, model: RimModel | MallowsModel,
+                      tr: TruncatedRanking) -> RankDistribution:
+    """The windowed DP on the truncated ranking's partition, in which every
+    top and bottom item is a one-item bucket with a one-position window."""
+    return rep_rim(c, model, tr.to_partitioned(len(model.sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,92 +322,6 @@ def rep_rim_poset(c: int, model: RimModel | MallowsModel, p: PartialOrder,
 
 
 # ---------------------------------------------------------------------------
-# Insertion model conditioned on a truncated ranking
-
-def rep_rim_truncated(c: int, model: RimModel | MallowsModel,
-                      tr: TruncatedRanking) -> RankDistribution:
-    """Insertion DP where top/bottom items have forced positions.
-
-    The set of inserted items at each step is fixed by the reference order,
-    so the positions of inserted top (bottom) items are determined: only the
-    target, when it lies in the unordered middle, branches.
-    """
-    sigma, pi = model.sigma, model.pi
-    m = len(sigma)
-    _validate_once(tr, m)
-    top_rank = {u: t for t, u in enumerate(tr.top)}
-    bot_rank = {u: t for t, u in enumerate(tr.bottom)}
-    c_in_middle = c not in top_rank and c not in bot_rank
-
-    scalar = 1.0
-    q: dict[int, float] | None = None  # target position -> mass, once inserted
-    inserted_tops: set[int] = set()
-    inserted_bots: set[int] = set()
-    for i, u in enumerate(sigma, start=1):
-        row = pi[i - 1]
-        if u in top_rank:
-            j = 1 + sum(1 for v in inserted_tops if top_rank[v] < top_rank[u])
-            f = row[j - 1]
-            if q is None:
-                scalar *= f
-            else:  # a top item lands above any middle position
-                q = {k + 1: mass * f for k, mass in q.items()}
-            inserted_tops.add(u)
-        elif u in bot_rank:
-            j = i - sum(1 for v in inserted_bots if bot_rank[v] > bot_rank[u])
-            f = row[j - 1]
-            if q is None:
-                scalar *= f
-            else:  # a bottom item lands below any middle position
-                q = {k: mass * f for k, mass in q.items()}
-            inserted_bots.add(u)
-        else:
-            lo = len(inserted_tops) + 1
-            hi = i - len(inserted_bots)
-            if u == c:
-                q = {}
-                for j in range(lo, hi + 1):
-                    if row[j - 1]:
-                        q[j] = scalar * row[j - 1]
-            elif q is None:
-                s = 0.0
-                for j in range(lo, hi + 1):
-                    s += row[j - 1]
-                scalar *= s
-            else:
-                nq: dict[int, float] = {}
-                for k, mass in q.items():
-                    shift = 0.0
-                    for j in range(lo, min(k, hi) + 1):
-                        shift += row[j - 1]
-                    stay = 0.0
-                    for j in range(max(lo, k + 1), hi + 1):
-                        stay += row[j - 1]
-                    if shift:
-                        nq[k + 1] = nq.get(k + 1, 0.0) + mass * shift
-                    if stay:
-                        nq[k] = nq.get(k, 0.0) + mass * stay
-                q = nq
-
-    probs = np.zeros(m)
-    if c_in_middle:
-        assert q is not None
-        total = sum(q.values())
-        if total <= 0.0:
-            raise ZeroPosterior("truncated ranking has zero probability under the model")
-        for k, mass in q.items():
-            probs[k - 1] = mass / total
-    else:
-        if scalar <= 0.0:
-            raise ZeroPosterior("truncated ranking has zero probability under the model")
-        if c in top_rank:
-            probs[top_rank[c]] = 1.0
-        else:
-            probs[m - len(tr.bottom) + bot_rank[c]] = 1.0
-    return probs
-
-
-# ---------------------------------------------------------------------------
 # Mallows conditioned on a fully partitioned preference
 
 
@@ -386,15 +337,14 @@ def rep_mallows_partitioned(c: int, model: MallowsModel, fp: PartitionedPreferen
     _validate_once(fp, m)
     if not fp.is_fully_partitioned(m):
         raise ValidationError("preference is not fully partitioned")
-    i = fp.bucket_of(c)
-    if i is None:
+    window = bucket_window(c, fp, m)
+    if window is None:
         raise ValidationError(f"candidate {c} not in any bucket")
-    k_left = sum(len(b) for b in fp.buckets[:i])
-    bucket = fp.buckets[i]
+    _, before, size = window
+    bucket = fp.buckets[fp.bucket_of(c)]
     sub_sigma = tuple(x for x in model.sigma if x in bucket)
-    local = rep_rim(c, MallowsModel(sub_sigma, model.phi))
     probs = np.zeros(m)
-    probs[k_left:k_left + len(bucket)] = local
+    probs[before:before + size] = rep_rim(c, MallowsModel(sub_sigma, model.phi))
     return probs
 
 
@@ -503,6 +453,8 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
         return rep_rim(c, model)
     if isinstance(obs, TruncatedRanking):
         return rep_rim_truncated(c, model, obs)
+    if isinstance(obs, PartitionedPreference) and obs.is_fully_partitioned(m):
+        return rep_rim(c, model, obs)
     return rep_rim_poset(c, model, PartialOrder(observation_pairs(obs)))
 
 

@@ -324,7 +324,7 @@ def test_uniform_poset_components_of_any_size_use_the_ideal_dp(monkeypatch):
                            rtol=0, atol=1e-12)
     # 18 items above one: 2^18 + 1 order ideals, one past the budget
     wide = PartialOrder([(i, m - 1) for i in range(k + 1)])
-    with pytest.raises(TooLarge, match=r"component of 19 items has at least 262145 order ideals"):
+    with pytest.raises(TooLarge, match=r"poset over 19 items has at least 262145 order ideals"):
         rep_dispatch(0, Voter(None, wide), m)
 
 
@@ -524,6 +524,81 @@ def test_truncated_posterior_matches_oracle():
         for c in range(m):
             assert np.allclose(rep_rim_truncated(c, model, tr),
                                oracle_rank_distribution(voter, c, m), atol=1e-9)
+
+
+def test_truncated_evidence_too_small_for_a_float_still_solves():
+    # 30 forced top positions at phi = 0.05 multiply to about 1e-630, which
+    # underflowed an evidence product to a false ZeroPosterior
+    m = 60
+    mallows = MallowsModel(range(m), 0.05)
+    voter = Voter(mallows_to_rim(mallows), TruncatedRanking(range(30, 0, -1), ()))
+    got = rep_dispatch(0, voter, m)
+    assert got[30] == pytest.approx(0.95, abs=1e-12)
+    assert np.allclose(got, rep_dispatch(0, Voter(mallows, voter.observation), m),
+                       rtol=0, atol=1e-12)
+
+
+# --- insertion models given a fully partitioned preference ------------------
+
+def _rows_with_zeros(rng, m):
+    rows = []
+    for i in range(1, m + 1):
+        row = rng.uniform(0.05, 1.0, size=i) * (rng.random(i) > 0.25)
+        if not row.any():
+            row[int(rng.integers(i))] = 1.0
+        rows.append(row / row.sum())
+    return rows
+
+
+def test_rim_given_a_fully_partitioned_preference_matches_oracle():
+    rng = np.random.default_rng(21)
+    solved = zero = 0
+    for _ in range(120):
+        m = int(rng.integers(2, 7))
+        model = RimModel(random_ranking(rng, m), _rows_with_zeros(rng, m))
+        voter = Voter(model, random_observation(rng, m, "fp"))
+        for c in range(m):
+            try:
+                want = oracle_rank_distribution(voter, c, m)
+            except ZeroPosterior:
+                with pytest.raises(ZeroPosterior):
+                    rep_dispatch(c, voter, m)
+                zero += 1
+                continue
+            assert np.allclose(rep_dispatch(c, voter, m), want, rtol=0, atol=1e-12)
+            solved += 1
+    assert solved and zero
+
+
+def test_rim_partitioned_route_matches_the_tracked_item_dp():
+    rng = np.random.default_rng(22)
+    m, checked = 9, 0
+    while checked < 5:
+        model = mallows_to_rim(MallowsModel(random_ranking(rng, m), float(rng.uniform(0.2, 1.0))))
+        perm = random_ranking(rng, m)
+        split = int(rng.integers(1, m))
+        fp = PartitionedPreference([perm[:split], perm[split:]])
+        poset = PartialOrder(fp.to_pairs())
+        if cover_width(model.sigma, poset) > 6:
+            continue
+        for c in range(m):
+            assert np.allclose(rep_dispatch(c, Voter(model, fp), m),
+                               rep_rim_poset(c, model, poset), rtol=0, atol=1e-12)
+        checked += 1
+
+
+def test_rim_with_three_buckets_at_m20_matches_the_bucket_restriction():
+    # cover width 13: past the tracked-item DP's cap
+    m = 20
+    perm = random_ranking(np.random.default_rng(23), m)
+    fp = PartitionedPreference([perm[:6], perm[6:13], perm[13:]])
+    mallows = MallowsModel(range(m), 0.6)
+    voter = Voter(mallows_to_rim(mallows), fp)
+    with pytest.raises(CoverWidthExceeded):
+        rep_rim_poset(0, voter.model, PartialOrder(fp.to_pairs()))
+    for c in range(m):
+        assert np.allclose(rep_dispatch(c, voter, m), rep_mallows_partitioned(c, mallows, fp),
+                           rtol=0, atol=1e-12)
 
 
 # --- Mallows restricted to a bucket ----------------------------------------
