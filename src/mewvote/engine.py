@@ -59,7 +59,7 @@ class _Group:
 def expected_score(c: int, voter: Voter, rule: ScoringRule) -> float:
     """Expected score of candidate ``c`` from a single voter (weight excluded)."""
     dist = rep_dispatch(c, voter, rule.m)
-    return float(np.dot(dist, rule.scores))
+    return float(np.dot(dist, rule.score_array))
 
 
 def _grouped(profile: Profile, grouping: bool) -> list[_Group]:

@@ -9,6 +9,11 @@ Four incomplete-observation structures are supported: partial orders
 "missing" set carrying no information), partial chains, and truncated
 rankings (known top/bottom segments).  All structures are immutable and
 hashable, which the winner engine relies on for voter grouping.
+
+Each observation is analysed once per (observation, m), and every solver
+reads that cached view: ``bucket_layout`` for the three shapes of ordered
+buckets (a chain is one-item buckets, a truncated ranking its partition),
+``ancestor_masks`` for a poset.  Both validate the observation first.
 """
 
 from __future__ import annotations
@@ -63,10 +68,6 @@ class PartialOrder:
         object.__setattr__(self, "pairs", frozenset((int(a), int(b)) for a, b in pairs))
 
     @cached_property
-    def items(self) -> frozenset[int]:
-        return frozenset(x for pair in self.pairs for x in pair)
-
-    @cached_property
     def closure(self) -> frozenset[tuple[int, int]]:
         """Transitive closure of the pair set; raises CycleDetected."""
         succ: dict[int, set[int]] = {}
@@ -97,16 +98,6 @@ class PartialOrder:
                 closed.add((x, y))
         return frozenset(closed)
 
-    @cached_property
-    def cover_pairs(self) -> frozenset[tuple[int, int]]:
-        """Pairs (a, b) with a > b and no intermediate element between them."""
-        closed = self.closure
-        covers = set()
-        for a, b in closed:
-            if not any((a, z) in closed and (z, b) in closed for z in self.items):
-                covers.add((a, b))
-        return frozenset(covers)
-
 
 @dataclass(frozen=True)
 class PartitionedPreference:
@@ -122,19 +113,6 @@ class PartitionedPreference:
     def __init__(self, buckets, missing=()):
         object.__setattr__(self, "buckets", tuple(frozenset(b) for b in buckets))
         object.__setattr__(self, "missing", frozenset(missing))
-
-    @cached_property
-    def items(self) -> frozenset[int]:
-        out: set[int] = set(self.missing)
-        for b in self.buckets:
-            out |= b
-        return frozenset(out)
-
-    def bucket_of(self, c: int) -> int | None:
-        for i, b in enumerate(self.buckets):
-            if c in b:
-                return i
-        return None
 
     def is_fully_partitioned(self, m: int) -> bool:
         return not self.missing and sum(len(b) for b in self.buckets) == m
@@ -201,6 +179,12 @@ def observation_pairs(obs: Observation) -> frozenset[tuple[int, int]]:
     raise TypeError(f"no pair view for {type(obs).__name__}")
 
 
+def check_candidate(c: int, m: int) -> None:
+    """Reject a candidate index outside 0..m-1."""
+    if not 0 <= c < m:
+        raise UnknownCandidate(f"candidate index {c} outside 0..{m - 1}")
+
+
 def validate(structure, candidates: CandidateSet | int) -> None:
     """Check structural invariants and candidate membership.
 
@@ -208,15 +192,10 @@ def validate(structure, candidates: CandidateSet | int) -> None:
     identifiers have already been resolved to indices.
     """
     m = candidates if isinstance(candidates, int) else candidates.m
-
-    def check_member(c):
-        if not 0 <= c < m:
-            raise UnknownCandidate(f"candidate index {c} outside 0..{m - 1}")
-
     if isinstance(structure, PartialOrder):
         for a, b in structure.pairs:
-            check_member(a)
-            check_member(b)
+            check_candidate(a, m)
+            check_candidate(b, m)
         structure.closure  # raises CycleDetected on cycles
     elif isinstance(structure, PartitionedPreference):
         seen: set[int] = set()
@@ -224,12 +203,12 @@ def validate(structure, candidates: CandidateSet | int) -> None:
             if not b:
                 raise ValidationError("empty bucket")
             for c in b:
-                check_member(c)
+                check_candidate(c, m)
                 if c in seen:
                     raise OverlapViolation(f"candidate {c} appears in two buckets")
                 seen.add(c)
         for c in structure.missing:
-            check_member(c)
+            check_candidate(c, m)
             if c in seen:
                 raise OverlapViolation(f"candidate {c} both bucketed and missing")
             seen.add(c)
@@ -237,13 +216,13 @@ def validate(structure, candidates: CandidateSet | int) -> None:
         if len(set(structure.chain)) != len(structure.chain):
             raise OverlapViolation("repeated candidate in chain")
         for c in structure.chain:
-            check_member(c)
+            check_candidate(c, m)
     elif isinstance(structure, TruncatedRanking):
         both = list(structure.top) + list(structure.bottom)
         if len(set(both)) != len(both):
             raise OverlapViolation("top and bottom segments overlap")
         for c in both:
-            check_member(c)
+            check_candidate(c, m)
         if len(both) > m:
             raise ValidationError("top/bottom segments larger than candidate set")
     elif isinstance(structure, tuple):  # a plain ranking
@@ -283,23 +262,34 @@ def linear_extensions(p: PartialOrder, candidates: CandidateSet | int,
     return out
 
 
+def _bits(mask: int) -> list[int]:
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
 @lru_cache(maxsize=4096)
 def tracked_items(sigma: Ranking, p: PartialOrder) -> tuple[tuple[int, ...], ...]:
     """The items tracked after each insertion step in sigma order, in sigma order.
 
     An item is tracked from the step it is inserted (that step counts) until
     every item it is directly related to in the cover relation has been
-    inserted.  This is the state plan of the tracked-item insertion DP.
+    inserted.  This is the state plan of the tracked-item insertion DP.  Read
+    from the ancestor masks: x covers y when x is an ancestor of y and of none
+    of y's other ancestors.
     """
-    partners: dict[int, set[int]] = {}
-    for a, b in p.cover_pairs:
-        partners.setdefault(a, set()).add(b)
-        partners.setdefault(b, set()).add(a)
-    remaining = set(sigma)
+    anc_masks = ancestor_masks(p, len(sigma))
+    partners = [0] * len(sigma)  # bit masks of the cover partners
+    for y, anc in enumerate(anc_masks):
+        covers = anc
+        for z in _bits(anc):
+            covers &= ~anc_masks[z]
+        partners[y] |= covers
+        for x in _bits(covers):
+            partners[x] |= 1 << y
+    remaining = sum(1 << x for x in sigma)
     tracked = []
     for i, u in enumerate(sigma, start=1):
-        remaining.discard(u)
-        tracked.append(tuple(x for x in sigma[:i] if partners.get(x) and partners[x] & remaining))
+        remaining &= ~(1 << u)
+        tracked.append(tuple(x for x in sigma[:i] if partners[x] & remaining))
     return tuple(tracked)
 
 
@@ -308,34 +298,41 @@ def cover_width(sigma: Ranking, p: PartialOrder) -> int:
     return max(map(len, tracked_items(sigma, p)), default=0)
 
 
-def bucket_window(c: int, obs: Observation | None, m: int) -> tuple[int, int, int] | None:
-    """Where ``c`` sits in an observation of ordered buckets: ``(k, before, size)``.
+@lru_cache(maxsize=4096)
+def bucket_layout(obs: PartitionedPreference | PartialChain | TruncatedRanking,
+                  m: int) -> tuple[tuple[int, int, int] | None, ...]:
+    """Every candidate's place in an observation of ordered buckets: ``(k, before, size)``.
 
     Partitioned preferences, partial chains (one-item buckets) and truncated
     rankings (one-item top and bottom buckets around the unordered middle)
     are all ordered buckets over ``k`` of the m candidates.  ``before`` counts
-    the items in buckets ahead of ``c``'s and ``size`` is its bucket's size.
-    None when the observation says nothing about ``c``.
+    the items in buckets ahead of the candidate's and ``size`` is its bucket's
+    size; None marks a candidate the observation says nothing about.  Built
+    and validated once per (observation, m); the candidates of one bucket
+    share one window tuple.
     """
-    if obs is None:
-        return None
-    if isinstance(obs, PartitionedPreference):
-        i = obs.bucket_of(c)
-        if i is None:
-            return None
-        sizes = [len(b) for b in obs.buckets]
-        return sum(sizes), sum(sizes[:i]), sizes[i]
-    if isinstance(obs, PartialChain):
-        if c not in obs.chain:
-            return None
-        return len(obs.chain), obs.chain.index(c), 1
+    if not isinstance(obs, (PartitionedPreference, PartialChain, TruncatedRanking)):
+        raise TypeError(f"no bucket view of {type(obs).__name__}")
+    validate(obs, m)
     if isinstance(obs, TruncatedRanking):
-        if c in obs.top:
-            return m, obs.top.index(c), 1
-        if c in obs.bottom:
-            return m, m - len(obs.bottom) + obs.bottom.index(c), 1
-        return m, len(obs.top), m - len(obs.top) - len(obs.bottom)
-    raise TypeError(f"no bucket view of {type(obs).__name__}")
+        obs = obs.to_partitioned(m)
+    buckets = obs.buckets if isinstance(obs, PartitionedPreference) else [(c,) for c in obs.chain]
+    k = sum(map(len, buckets))
+    layout: list[tuple[int, int, int] | None] = [None] * m
+    before = 0
+    for bucket in buckets:
+        window = (k, before, len(bucket))
+        for c in bucket:
+            layout[c] = window
+        before += len(bucket)
+    return tuple(layout)
+
+
+def bucket_window(c: int, obs: Observation | None, m: int) -> tuple[int, int, int] | None:
+    """``c``'s ``(k, before, size)`` in ``bucket_layout``; None when there is
+    no observation or it says nothing about ``c``."""
+    check_candidate(c, m)
+    return None if obs is None else bucket_layout(obs, m)[c]
 
 
 @lru_cache(maxsize=4096)
@@ -385,8 +382,10 @@ def _poset_rank_bounds(p: PartialOrder, m: int) -> tuple[tuple[int, int], ...]:
 
 
 def rank_bounds(c: int, structure, m: int) -> tuple[int, int]:
-    """Tight (best, worst) rank range candidate ``c`` can occupy in any completion."""
+    """Tight (best, worst) rank range candidate ``c`` can occupy in any completion;
+    an invalid observation or a ``c`` outside 0..m-1 raises."""
     if isinstance(structure, PartialOrder):
+        check_candidate(c, m)
         return _poset_rank_bounds(structure, m)[c]
     window = bucket_window(c, structure, m)
     if window is None:

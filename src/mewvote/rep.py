@@ -7,7 +7,7 @@ model plus optional observation) to the cheapest applicable solver:
   - ``rep_uniform`` for the uniform model with no observation or with ordered
     buckets over some of the candidates (partitioned preferences, partial
     chains, truncated rankings): one closed form, read from the target's
-    bucket as located by ``preferences.bucket_window``;
+    bucket window in ``preferences.bucket_layout``;
   - for uniform posets at any m, a table built per connected component of
     the poset by one counting DP over the component's order ideals, bounded
     by ``IDEAL_BUDGET`` ideals, and spread over the m ranks by a
@@ -41,7 +41,6 @@ import numpy as np
 from .errors import (
     CoverWidthExceeded,
     RankOutOfRange,
-    UnknownCandidate,
     Unsupported,
     ValidationError,
     ZeroPosterior,
@@ -50,7 +49,6 @@ from .models import (
     MallowsModel,
     RimModel,
     RsmRankingModel,
-    mallows_probability,
     rim_probability,
     rsm_probability,
     validate_reference,
@@ -64,8 +62,11 @@ from .preferences import (
     PartitionedPreference,
     Ranking,
     TruncatedRanking,
+    _bits,
     ancestor_masks,
+    bucket_layout,
     bucket_window,
+    check_candidate,
     cover_width,
     ideal_levels,
     linear_extensions,
@@ -75,6 +76,7 @@ from .preferences import (
 )
 
 COVER_WIDTH_CAP = 6
+STATE_FLOOR = 1e-100  # rep_rim_poset rescales its states when their total falls below it
 
 RankDistribution = np.ndarray
 
@@ -119,10 +121,6 @@ def _interleave(k: int, m: int) -> np.ndarray:
     return table
 
 
-# solvers run once per candidate, so each (observation, m) is validated once
-_validate_once = lru_cache(maxsize=4096)(validate)
-
-
 def rep_uniform(c: int, obs: Observation | None, m: int) -> RankDistribution:
     """Uniform model given ordered buckets over k items (see ``bucket_window``).
 
@@ -133,8 +131,6 @@ def rep_uniform(c: int, obs: Observation | None, m: int) -> RankDistribution:
     those slots.  With k = m the interleave is the identity, giving 1/size on
     the bucket's rank window.
     """
-    if obs is not None:
-        _validate_once(obs, m)
     window = bucket_window(c, obs, m)
     if window is None:
         return np.full(m, 1.0 / m)
@@ -168,20 +164,19 @@ def rep_rim(c: int, model: RimModel | MallowsModel,
     i_c = sigma.index(c) + 1
     start = i_c
     if fp is not None:
-        _validate_once(fp, m)
-        if not fp.is_fully_partitioned(m):
+        layout = bucket_layout(fp, m)
+        if None in layout:
             raise ValidationError("preference is not fully partitioned")
-        bucket = {x: b for b, items in enumerate(fp.buckets) for x in items}
-        placed = [0] * len(fp.buckets)
+        placed = [0] * m  # placed[before]: placed items of the bucket after ``before`` others
         start = 1
     q: list[float] = []  # q[k-1] = Pr(target at position k), once inserted
     for i in range(start, m + 1):
         row, lo, hi = pi[i - 1], 0, i  # window of 0-based positions [lo, hi)
         if fp is not None:
-            b = bucket[sigma[i - 1]]
-            lo = sum(placed[:b])
-            hi = lo + placed[b] + 1
-            placed[b] += 1
+            before = layout[sigma[i - 1]][1]
+            lo = sum(placed[:before])
+            hi = lo + placed[before] + 1
+            placed[before] += 1
             w = sum(row[lo:hi])
             if w == 0.0:
                 raise ZeroPosterior("observation has zero probability under the model")
@@ -268,7 +263,9 @@ def rep_rim_poset(c: int, model: RimModel | MallowsModel, p: PartialOrder,
     plus the target from its insertion to the end.  Insertion positions are
     restricted by the tracked items related to the incoming one, which is
     sufficient because relations through already-dropped items were enforced
-    when those items were inserted.
+    when those items were inserted.  The states hold unnormalised evidence
+    products; a step whose total falls below ``STATE_FLOOR`` rescales them by
+    that total, so strong evidence does not underflow to a false ZeroPosterior.
     """
     sigma, pi = model.sigma, model.pi
     m = len(sigma)
@@ -310,6 +307,9 @@ def rep_rim_poset(c: int, model: RimModel | MallowsModel, p: PartialOrder,
                     newpos[u_slot] = j
                 key = tuple(newpos)
                 nstates[key] = nstates.get(key, 0.0) + mass * pr
+        scale = sum(nstates.values())
+        if 0.0 < scale < STATE_FLOOR:
+            nstates = {key: mass / scale for key, mass in nstates.items()}
         states = nstates
 
     total = sum(states.values())
@@ -334,15 +334,12 @@ def rep_mallows_partitioned(c: int, model: MallowsModel, fp: PartitionedPreferen
     its bucket follows a Mallows over the bucket with the same dispersion.
     """
     m = len(model.sigma) if m is None else m
-    _validate_once(fp, m)
-    if not fp.is_fully_partitioned(m):
-        raise ValidationError("preference is not fully partitioned")
     window = bucket_window(c, fp, m)
-    if window is None:
-        raise ValidationError(f"candidate {c} not in any bucket")
+    if window is None or window[0] != m:
+        raise ValidationError("preference is not fully partitioned")
     _, before, size = window
-    bucket = fp.buckets[fp.bucket_of(c)]
-    sub_sigma = tuple(x for x in model.sigma if x in bucket)
+    layout = bucket_layout(fp, m)
+    sub_sigma = tuple(x for x in model.sigma if layout[x] == window)
     probs = np.zeros(m)
     probs[before:before + size] = rep_rim(c, MallowsModel(sub_sigma, model.phi))
     return probs
@@ -350,10 +347,6 @@ def rep_mallows_partitioned(c: int, model: MallowsModel, fp: PartitionedPreferen
 
 # ---------------------------------------------------------------------------
 # Uniform posets: one table per connected component, interleaved over the ranks
-
-
-def _bits(mask: int) -> list[int]:
-    return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
 def _component_table(items: list[int], anc_masks: tuple[int, ...]) -> np.ndarray:
@@ -421,10 +414,15 @@ def uniform_poset_distribution(c: int, p: PartialOrder, m: int) -> RankDistribut
 # Dispatch
 
 
+def _check_model(model, m: int) -> None:
+    if not isinstance(model, (MallowsModel, RimModel, RsmRankingModel)):
+        raise Unsupported(f"unknown model type {type(model).__name__}")
+    validate_reference(model.sigma, m)
+
+
 def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
     """Route one (candidate, voter) query to the cheapest applicable solver."""
-    if not 0 <= c < m:
-        raise UnknownCandidate(f"candidate index {c} outside 0..{m - 1}")
+    check_candidate(c, m)
     model, obs = voter.model, voter.observation
 
     if model is None:
@@ -434,28 +432,22 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
             return rep_uniform(c, obs, m)
         raise Unsupported(f"unknown observation type {type(obs).__name__}")
 
-    if not isinstance(model, (MallowsModel, RimModel, RsmRankingModel)):
-        raise Unsupported(f"unknown model type {type(model).__name__}")
-    validate_reference(model.sigma, m)
+    _check_model(model, m)
 
     if isinstance(model, RsmRankingModel):
         if obs is not None:
             raise Unsupported("no exact solver for a selection model with an observation")
         return rsm_rank_distribution(c, model)
 
-    if isinstance(model, MallowsModel):
-        if isinstance(obs, PartitionedPreference) and obs.is_fully_partitioned(m):
-            return rep_mallows_partitioned(c, model, obs, m)
-        if isinstance(obs, TruncatedRanking):
-            return rep_mallows_partitioned(c, model, obs.to_partitioned(m), m)
-
     if obs is None:  # insertion models, Mallows included
         return rep_rim(c, model)
-    if isinstance(obs, TruncatedRanking):
-        return rep_rim_truncated(c, model, obs)
-    if isinstance(obs, PartitionedPreference) and obs.is_fully_partitioned(m):
-        return rep_rim(c, model, obs)
-    return rep_rim_poset(c, model, PartialOrder(observation_pairs(obs)))
+    if isinstance(obs, TruncatedRanking):  # fully partitioned by construction
+        obs = obs.to_partitioned(m)
+    elif not (isinstance(obs, PartitionedPreference) and obs.is_fully_partitioned(m)):
+        return rep_rim_poset(c, model, PartialOrder(observation_pairs(obs)))
+    if isinstance(model, MallowsModel):  # the cheaper restriction to the target's bucket
+        return rep_mallows_partitioned(c, model, obs, m)
+    return rep_rim(c, model, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +470,15 @@ def voter_support(voter: Voter, m: int, cap: int = COMPLETION_CAP) -> list[tuple
 
     model = voter.model
     if model is not None:
-        if not isinstance(model, (MallowsModel, RimModel, RsmRankingModel)):
-            raise Unsupported(f"unknown model type {type(model).__name__}")
-        validate_reference(model.sigma, m)
+        _check_model(model, m)
     support: list[tuple[Ranking, float]] = []
     for r in linear_extensions(PartialOrder(pairs), m, cap):
         if model is None:
             w = 1.0
-        elif isinstance(model, MallowsModel):
-            w = mallows_probability(r, model)
-        elif isinstance(model, RimModel):
-            w = rim_probability(r, model)
-        else:
+        elif isinstance(model, RsmRankingModel):
             w = rsm_probability(r, model)
+        else:  # Mallows included: its pi holds its insertion rows
+            w = rim_probability(r, model)
         if w > 0.0:
             support.append((r, w))
     total = sum(w for _, w in support)

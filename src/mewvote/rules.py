@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InvalidK, InvalidRule, RankOutOfRange
 
 
@@ -15,6 +17,9 @@ class ScoringRule:
 
     ``exact`` holds the same values as Fractions so that solvers needing
     exact score arithmetic (state merging) can avoid float keys.
+    ``score_array`` holds ``scores`` as a read-only float64 array, built once
+    for the dot products of expected scores; it is not a field, so equality,
+    hashing and repr read the tuples alone.
     """
 
     name: str
@@ -35,6 +40,12 @@ class ScoringRule:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "exact", exact)
+        score_array = np.array(scores, dtype=np.float64)
+        score_array.setflags(write=False)
+        object.__setattr__(self, "score_array", score_array)
+
+    def __reduce__(self):  # rebuilt through __init__, so a copy's score_array is read-only too
+        return ScoringRule, (self.name, self.exact)
 
     @property
     def m(self) -> int:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import OBSERVATION_KINDS, random_observation
+from conftest import OBSERVATION_KINDS, random_observation, random_poset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +14,7 @@ from mewvote import (
     PartitionedPreference,
     TooLarge,
     TruncatedRanking,
+    UnknownCandidate,
     ValidationError,
     Voter,
     candidate_set,
@@ -23,6 +24,7 @@ from mewvote import (
     rep_dispatch,
     validate,
 )
+from mewvote.preferences import bucket_window, tracked_items
 
 ABC = candidate_set("a", "b", "c")
 
@@ -42,8 +44,6 @@ def test_validate_rejects_repeated_chain_item():
 
 
 def test_validate_rejects_unknown_candidate():
-    from mewvote import UnknownCandidate
-
     with pytest.raises(UnknownCandidate):
         validate(PartialOrder([(0, 5)]), ABC)
 
@@ -198,3 +198,79 @@ def test_extensions_respect_rank_bounds(seed):
         for c in range(m):
             best, worst = rank_bounds(c, p, m)
             assert best <= ranking.index(c) + 1 <= worst
+
+
+def test_rank_bounds_rejects_candidates_outside_the_set():
+    for structure in (None, PartialOrder([(0, 1)]), PartialChain((0, 1)),
+                      PartitionedPreference([[0], [1, 2]]), TruncatedRanking((0,), (1,))):
+        for c in (-1, 10):
+            with pytest.raises(UnknownCandidate):
+                rank_bounds(c, structure, 10)
+
+
+def test_rank_bounds_rejects_invalid_bucket_observations():
+    with pytest.raises(UnknownCandidate):
+        rank_bounds(0, PartialChain((0, 12)), 10)
+    with pytest.raises(UnknownCandidate):
+        rank_bounds(0, TruncatedRanking((12,), ()), 10)
+    with pytest.raises(OverlapViolation):
+        rank_bounds(0, PartitionedPreference([[0, 1], [1]]), 10)
+    with pytest.raises(OverlapViolation):
+        rank_bounds(0, TruncatedRanking((0,), (0,)), 10)
+
+
+# The per-shape window computations bucket_window made on every call before it
+# read the cached bucket layout, kept as an independent reference.
+def _reference_window(c, obs, m):
+    if isinstance(obs, PartitionedPreference):
+        i = next((i for i, b in enumerate(obs.buckets) if c in b), None)
+        if i is None:
+            return None
+        sizes = [len(b) for b in obs.buckets]
+        return sum(sizes), sum(sizes[:i]), sizes[i]
+    if isinstance(obs, PartialChain):
+        if c not in obs.chain:
+            return None
+        return len(obs.chain), obs.chain.index(c), 1
+    if c in obs.top:
+        return m, obs.top.index(c), 1
+    if c in obs.bottom:
+        return m, m - len(obs.bottom) + obs.bottom.index(c), 1
+    return m, len(obs.top), m - len(obs.top) - len(obs.bottom)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(("fp", "pp", "chain", "truncated", "ranking")))
+@settings(max_examples=150, deadline=None)
+def test_bucket_window_matches_the_per_shape_reference(seed, kind):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 10))
+    obs = random_observation(rng, m, kind)
+    for c in range(m):
+        assert bucket_window(c, obs, m) == _reference_window(c, obs, m), (obs, c)
+
+
+# The closure scan tracked_items read its cover pairs from before it read the
+# ancestor masks, kept as an independent reference.
+def _reference_tracked_items(sigma, p):
+    closed = p.closure
+    items = {x for pair in p.pairs for x in pair}
+    partners: dict[int, set[int]] = {}
+    for a, b in closed:
+        if not any((a, z) in closed and (z, b) in closed for z in items):
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+    remaining = set(sigma)
+    tracked = []
+    for i, u in enumerate(sigma, start=1):
+        remaining.discard(u)
+        tracked.append(tuple(x for x in sigma[:i] if partners.get(x) and partners[x] & remaining))
+    return tuple(tracked)
+
+
+def test_tracked_items_match_the_cover_pair_scan():
+    rng = np.random.default_rng(10)
+    for _ in range(300):
+        m = int(rng.integers(1, 11))
+        p = random_poset(rng, m, density=float(rng.uniform(0.05, 0.7)))
+        sigma = tuple(int(x) for x in rng.permutation(m))
+        assert tracked_items(sigma, p) == _reference_tracked_items(sigma, p), (sigma, p)

@@ -55,7 +55,7 @@ from mewvote import (
 )
 from mewvote.models import uniform_rim
 from mewvote.oracle import fcp_count, oracle_rank_distribution
-from mewvote.preferences import ancestor_masks, observation_pairs
+from mewvote.preferences import ancestor_masks, bucket_layout, observation_pairs
 
 
 # --- closed form over ordered buckets ----------------------------------
@@ -449,7 +449,7 @@ def test_voter_support_counts_completions_before_weighting_any(monkeypatch):
     def refuse(*args):
         raise AssertionError("a ranking was weighted")
 
-    monkeypatch.setattr(rep, "mallows_probability", refuse)
+    monkeypatch.setattr(rep, "rim_probability", refuse)
     with pytest.raises(TooLarge):  # 10! completions, past the cap
         voter_support(Voter(MallowsModel(tuple(range(10)), 0.5), None), 10)
 
@@ -504,10 +504,10 @@ def test_truncated_no_constraint_matches_plain_rim():
 
 def test_truncated_route_validates_each_observation_once():
     model, tr = MallowsModel((0, 1, 2, 3, 4), 0.5), TruncatedRanking((3,), (1,))
-    rep._validate_once.cache_clear()
+    bucket_layout.cache_clear()
     for c in range(5):
         rep_rim_truncated(c, model, tr)
-    assert rep._validate_once.cache_info().misses == 1
+    assert bucket_layout.cache_info().misses == 1
 
 
 def test_truncated_posterior_matches_oracle():
@@ -536,6 +536,20 @@ def test_truncated_evidence_too_small_for_a_float_still_solves():
     assert got[30] == pytest.approx(0.95, abs=1e-12)
     assert np.allclose(got, rep_dispatch(0, Voter(mallows, voter.observation), m),
                        rtol=0, atol=1e-12)
+
+
+def test_poset_evidence_too_small_for_a_float_still_solves():
+    # the tracked-item DP's state products underflowed to a false ZeroPosterior
+    m = 60
+    mallows = MallowsModel(range(m), 0.05)
+    tr = TruncatedRanking(range(30, 0, -1), ())
+    poset = PartialOrder(tr.to_partitioned(m).to_pairs())
+    for model in (mallows, mallows_to_rim(mallows)):
+        for c in (0, 15, 45):
+            assert np.allclose(rep_rim_poset(c, model, poset), rep_rim_truncated(c, model, tr),
+                               rtol=0, atol=1e-12)
+        got = rep_dispatch(0, Voter(model, PartialChain(range(30, 0, -1))), m)
+        assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # --- insertion models given a fully partitioned preference ------------------

@@ -1,5 +1,8 @@
+import copy
+import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mewvote import InvalidK, InvalidRule, RankOutOfRange, ScoringRule, make_rule, parse_rule, score_of_rank
@@ -56,3 +59,13 @@ def test_integer_scaling():
     rule = parse_rule("custom:2.5,1,0", 3)
     assert integer_scores(rule) == (5, 2, 0)
     assert integer_scores(make_rule("borda", 3)) == (2, 1, 0)
+
+
+def test_score_array_is_a_read_only_copy_of_the_scores():
+    rule = ScoringRule("custom", [Fraction(7, 3), 1, 0])
+    for r in (rule, pickle.loads(pickle.dumps(rule)), copy.deepcopy(rule)):
+        assert r == rule and hash(r) == hash(rule) and repr(r) == repr(rule)
+        assert r.score_array.dtype == np.float64
+        assert tuple(r.score_array) == rule.scores
+        with pytest.raises(ValueError):
+            r.score_array[0] = 0.0
