@@ -10,6 +10,7 @@ import time
 from dataclasses import dataclass
 
 from .engine import mew, mew_parallel
+from .errors import ParseError
 from .generators import GenSpec, cover_width_profile, generate
 from .mpw import mpw
 from .profiles import Profile
@@ -90,6 +91,17 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 
 def parse_bench_spec(text: str) -> list[BenchRun]:
+    """A JSON array of ``BenchRun`` fields, or an object holding one as ``runs``;
+    a missing ``runs``, an entry that is not an object, or an unknown field
+    raises ParseError naming the entry."""
     doc = json.loads(text)
-    runs = doc["runs"] if isinstance(doc, dict) else doc
-    return [BenchRun(**entry) for entry in runs]
+    runs = doc.get("runs") if isinstance(doc, dict) else doc
+    if not isinstance(runs, list):
+        raise ParseError("a bench spec is a JSON array of runs or an object with a 'runs' array")
+    parsed = []
+    for i, entry in enumerate(runs):
+        try:
+            parsed.append(BenchRun(**entry))
+        except TypeError as exc:
+            raise ParseError(f"run {i}: malformed entry ({exc})") from exc
+    return parsed

@@ -10,10 +10,12 @@ Four incomplete-observation structures are supported: partial orders
 rankings (known top/bottom segments).  All structures are immutable and
 hashable, which the winner engine relies on for voter grouping.
 
-Each observation is analysed once per (observation, m), and every solver
-reads that cached view: ``bucket_layout`` for the three shapes of ordered
-buckets (a chain is one-item buckets, a truncated ranking its partition),
-``ancestor_masks`` for a poset.  Both validate the observation first.
+Each observation is analysed once per (observation, m) into two cached
+views, and every solver reads one of them.  ``bucket_layout`` places the
+candidates of the three shapes of ordered buckets (a chain is one-item
+buckets, a truncated ranking its top, unordered middle and bottom); building
+it is also how those shapes are validated.  ``ancestor_masks`` reads any
+observation as a poset: a poset's closure, or the bucket order of a layout.
 """
 
 from __future__ import annotations
@@ -168,17 +170,6 @@ class TruncatedRanking:
 Observation = PartialOrder | PartitionedPreference | PartialChain | TruncatedRanking
 
 
-def observation_pairs(obs: Observation) -> frozenset[tuple[int, int]]:
-    """The preference pairs induced by any observation structure."""
-    if isinstance(obs, PartialOrder):
-        return obs.pairs
-    if isinstance(obs, PartialChain):
-        return obs.to_pairs()
-    if isinstance(obs, PartitionedPreference):
-        return obs.to_pairs()
-    raise TypeError(f"no pair view for {type(obs).__name__}")
-
-
 def check_candidate(c: int, m: int) -> None:
     """Reject a candidate index outside 0..m-1."""
     if not 0 <= c < m:
@@ -189,7 +180,8 @@ def validate(structure, candidates: CandidateSet | int) -> None:
     """Check structural invariants and candidate membership.
 
     ``candidates`` may be a CandidateSet or simply the candidate count when
-    identifiers have already been resolved to indices.
+    identifiers have already been resolved to indices.  Ordered buckets are
+    checked by building their layout, uncached.
     """
     m = candidates if isinstance(candidates, int) else candidates.m
     if isinstance(structure, PartialOrder):
@@ -197,44 +189,16 @@ def validate(structure, candidates: CandidateSet | int) -> None:
             check_candidate(a, m)
             check_candidate(b, m)
         structure.closure  # raises CycleDetected on cycles
-    elif isinstance(structure, PartitionedPreference):
-        seen: set[int] = set()
-        for b in structure.buckets:
-            if not b:
-                raise ValidationError("empty bucket")
-            for c in b:
-                check_candidate(c, m)
-                if c in seen:
-                    raise OverlapViolation(f"candidate {c} appears in two buckets")
-                seen.add(c)
-        for c in structure.missing:
-            check_candidate(c, m)
-            if c in seen:
-                raise OverlapViolation(f"candidate {c} both bucketed and missing")
-            seen.add(c)
-    elif isinstance(structure, PartialChain):
-        if len(set(structure.chain)) != len(structure.chain):
-            raise OverlapViolation("repeated candidate in chain")
-        for c in structure.chain:
-            check_candidate(c, m)
-    elif isinstance(structure, TruncatedRanking):
-        both = list(structure.top) + list(structure.bottom)
-        if len(set(both)) != len(both):
-            raise OverlapViolation("top and bottom segments overlap")
-        for c in both:
-            check_candidate(c, m)
-        if len(both) > m:
-            raise ValidationError("top/bottom segments larger than candidate set")
     elif isinstance(structure, tuple):  # a plain ranking
         if sorted(structure) != list(range(m)):
             raise ValidationError("ranking is not a permutation of all candidates")
     else:
-        raise TypeError(f"cannot validate {type(structure).__name__}")
+        _bucket_layout(structure, m)
 
 
-def linear_extensions(p: PartialOrder, candidates: CandidateSet | int,
+def linear_extensions(obs: Observation | None, candidates: CandidateSet | int,
                       cap: int = COMPLETION_CAP) -> list[Ranking]:
-    """All rankings consistent with ``p``, in lexicographic index order.
+    """All rankings consistent with any observation or None, in lexicographic index order.
 
     A depth-first walk of the order-ideal lattice that places an item once its
     ancestors are placed, smallest index first, so the cost follows the number
@@ -242,7 +206,7 @@ def linear_extensions(p: PartialOrder, candidates: CandidateSet | int,
     ``ideal_levels``, raise TooLarge: counting them is #P-complete.
     """
     m = candidates if isinstance(candidates, int) else candidates.m
-    anc_masks = ancestor_masks(p, m)
+    anc_masks = ancestor_masks(obs, m)
     full = (1 << m) - 1
     count = ideal_levels(anc_masks)[m][full]
     if count > cap:
@@ -267,16 +231,16 @@ def _bits(mask: int) -> list[int]:
 
 
 @lru_cache(maxsize=4096)
-def tracked_items(sigma: Ranking, p: PartialOrder) -> tuple[tuple[int, ...], ...]:
+def tracked_items(sigma: Ranking, obs: Observation) -> tuple[tuple[int, ...], ...]:
     """The items tracked after each insertion step in sigma order, in sigma order.
 
     An item is tracked from the step it is inserted (that step counts) until
     every item it is directly related to in the cover relation has been
     inserted.  This is the state plan of the tracked-item insertion DP.  Read
-    from the ancestor masks: x covers y when x is an ancestor of y and of none
-    of y's other ancestors.
+    from the ancestor masks of any observation: x covers y when x is an
+    ancestor of y and of none of y's other ancestors.
     """
-    anc_masks = ancestor_masks(p, len(sigma))
+    anc_masks = ancestor_masks(obs, len(sigma))
     partners = [0] * len(sigma)  # bit masks of the cover partners
     for y, anc in enumerate(anc_masks):
         covers = anc
@@ -293,39 +257,53 @@ def tracked_items(sigma: Ranking, p: PartialOrder) -> tuple[tuple[int, ...], ...
     return tuple(tracked)
 
 
-def cover_width(sigma: Ranking, p: PartialOrder) -> int:
-    """Maximum number of simultaneously tracked items during insertion in sigma order."""
-    return max(map(len, tracked_items(sigma, p)), default=0)
+def cover_width(sigma: Ranking, obs: Observation) -> int:
+    """Most items tracked at once while inserting in sigma order, for any observation."""
+    return max(map(len, tracked_items(sigma, obs)), default=0)
 
 
-@lru_cache(maxsize=4096)
-def bucket_layout(obs: PartitionedPreference | PartialChain | TruncatedRanking,
-                  m: int) -> tuple[tuple[int, int, int] | None, ...]:
+def _bucket_layout(obs: PartitionedPreference | PartialChain | TruncatedRanking,
+                   m: int) -> tuple[tuple[int, int, int] | None, ...]:
     """Every candidate's place in an observation of ordered buckets: ``(k, before, size)``.
 
     Partitioned preferences, partial chains (one-item buckets) and truncated
     rankings (one-item top and bottom buckets around the unordered middle)
     are all ordered buckets over ``k`` of the m candidates.  ``before`` counts
     the items in buckets ahead of the candidate's and ``size`` is its bucket's
-    size; None marks a candidate the observation says nothing about.  Built
-    and validated once per (observation, m); the candidates of one bucket
-    share one window tuple.
+    size; None marks a candidate the observation says nothing about.  The
+    candidates of one bucket share one window tuple.  Building it validates
+    the observation: an empty bucket, an item outside 0..m-1 and an item
+    placed twice (in two buckets, or bucketed and missing) raise.
     """
-    if not isinstance(obs, (PartitionedPreference, PartialChain, TruncatedRanking)):
+    if isinstance(obs, PartitionedPreference):
+        buckets, missing = obs.buckets, obs.missing
+    elif isinstance(obs, PartialChain):
+        buckets, missing = [(c,) for c in obs.chain], ()
+    elif isinstance(obs, TruncatedRanking):
+        middle = obs.middle(m)
+        buckets = [(c,) for c in obs.top] + [middle] * bool(middle) + [(c,) for c in obs.bottom]
+        missing = ()
+    else:
         raise TypeError(f"no bucket view of {type(obs).__name__}")
-    validate(obs, m)
-    if isinstance(obs, TruncatedRanking):
-        obs = obs.to_partitioned(m)
-    buckets = obs.buckets if isinstance(obs, PartitionedPreference) else [(c,) for c in obs.chain]
     k = sum(map(len, buckets))
     layout: list[tuple[int, int, int] | None] = [None] * m
     before = 0
     for bucket in buckets:
+        if not bucket:
+            raise ValidationError("empty bucket")
         window = (k, before, len(bucket))
         for c in bucket:
+            check_candidate(c, m)
             layout[c] = window
         before += len(bucket)
+    for c in missing:
+        check_candidate(c, m)
+    if len(set().union(*buckets, missing)) != k + len(missing):
+        raise OverlapViolation("a candidate is placed twice")
     return tuple(layout)
+
+
+bucket_layout = lru_cache(maxsize=4096)(_bucket_layout)  # built once per (observation, m)
 
 
 def bucket_window(c: int, obs: Observation | None, m: int) -> tuple[int, int, int] | None:
@@ -336,15 +314,24 @@ def bucket_window(c: int, obs: Observation | None, m: int) -> tuple[int, int, in
 
 
 @lru_cache(maxsize=4096)
-def ancestor_masks(p: PartialOrder, m: int) -> tuple[int, ...]:
-    """Bit a of ``anc_masks[b]`` is set when a > b in the closure of ``p``.
+def ancestor_masks(obs: Observation | None, m: int) -> tuple[int, ...]:
+    """Bit a of ``anc_masks[b]`` is set when ``obs`` puts a above b in every completion.
 
-    Built and validated once per (poset, m); the uniform-poset table cache is
-    keyed on it.
+    For a poset that is a > b in its closure; for ordered buckets, a's bucket
+    ends at or before b's begins in ``bucket_layout``; None sets no bit.
+    Built and validated once per (observation, m); the uniform-poset table
+    cache is keyed on it.
     """
-    validate(p, m)
+    if obs is None:
+        return (0,) * m
+    if not isinstance(obs, PartialOrder):
+        layout = bucket_layout(obs, m)  # a is above b when a's bucket ends by b's start
+        return tuple(0 if wb is None else sum(1 << a for a, wa in enumerate(layout)
+                                              if wa is not None and wa[1] + wa[2] <= wb[1])
+                     for wb in layout)
+    validate(obs, m)
     anc_masks = [0] * m
-    for a, b in p.closure:
+    for a, b in obs.closure:
         anc_masks[b] |= 1 << a
     return tuple(anc_masks)
 

@@ -91,9 +91,16 @@ def serialize_profile(profile: Profile) -> str:
     return json.dumps(profile_to_dict(profile), indent=2) + "\n"
 
 
+def _indices(names, cand: CandidateSet) -> list[int]:
+    """Resolve a JSON array of candidate names; a string or any other value is rejected."""
+    if not isinstance(names, list):
+        raise ParseError(f"expected a JSON array of candidate names, got {names!r}")
+    return [cand.index_of(x) for x in names]
+
+
 def _parse_model(doc, cand: CandidateSet):
     kind = doc.get("type")
-    sigma = tuple(cand.index_of(x) for x in doc.get("sigma", ()))
+    sigma = tuple(_indices(doc.get("sigma", []), cand))
     if kind == "mallows":
         return MallowsModel(sigma, doc["phi"])
     if kind == "rim":
@@ -106,24 +113,21 @@ def _parse_model(doc, cand: CandidateSet):
 def _parse_observation(doc, cand: CandidateSet):
     kind = doc.get("type")
     if kind == "poset":
-        pairs = [(cand.index_of(a), cand.index_of(b)) for a, b in doc.get("pairs", ())]
+        pairs = [_indices(pair, cand) for pair in doc.get("pairs", [])]
         return PartialOrder(pairs) if pairs else None
     if kind in ("ranking", "chain"):
         items = doc["ranking"] if kind == "ranking" else doc["chain"]
-        chain = PartialChain(cand.index_of(x) for x in items)
+        chain = PartialChain(_indices(items, cand))
         if kind == "ranking" and len(chain.chain) != cand.m:
             raise ValidationError("ranking must cover all candidates")
         return chain
     if kind == "partitioned":
-        return PartitionedPreference(
-            [[cand.index_of(x) for x in bucket] for bucket in doc["buckets"]])
+        return PartitionedPreference([_indices(bucket, cand) for bucket in doc["buckets"]])
     if kind == "partial_partitioned":
-        return PartitionedPreference(
-            [[cand.index_of(x) for x in bucket] for bucket in doc["buckets"]],
-            [cand.index_of(x) for x in doc.get("missing", ())])
+        return PartitionedPreference([_indices(bucket, cand) for bucket in doc["buckets"]],
+                                     _indices(doc.get("missing", []), cand))
     if kind == "truncated":
-        return TruncatedRanking([cand.index_of(x) for x in doc["top"]],
-                                [cand.index_of(x) for x in doc["bottom"]])
+        return TruncatedRanking(_indices(doc["top"], cand), _indices(doc["bottom"], cand))
     raise ParseError(f"unknown observation type {kind!r}")
 
 
@@ -134,7 +138,7 @@ _OBSERVATION_TAGS = ("ranking", "poset", "partitioned", "partial_partitioned",
 
 def _parse_voter(doc, cand: CandidateSet) -> Voter:
     weight = doc.get("weight", 1)
-    if not isinstance(weight, int) or weight < 1:
+    if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
         raise ValidationError(f"weight must be a positive integer, got {weight!r}")
     kind = doc.get("type")
     if kind == "combined":
@@ -157,18 +161,23 @@ def parse_profile(text: str) -> Profile:
         raise ParseError("profile document must be a JSON object")
     if doc.get("format") != FORMAT_VERSION:
         raise ParseError(f"unsupported format {doc.get('format')!r}, expected {FORMAT_VERSION}")
+    names = doc.get("candidates")
+    if not isinstance(names, list):
+        raise ParseError(f"'candidates' must be a JSON array of names, got {names!r}")
     try:
-        cand = CandidateSet(tuple(doc["candidates"]))
-    except KeyError:
-        raise ParseError("missing 'candidates'") from None
+        cand = CandidateSet(tuple(names))
+    except TypeError as exc:  # a name that is not hashable, such as an array
+        raise ParseError(f"malformed 'candidates' ({exc})") from exc
     raw_voters = doc.get("voters")
     if not raw_voters:
         raise ValidationError("profile has no voters")
+    if not isinstance(raw_voters, list):
+        raise ParseError("'voters' must be a JSON array")
     voters = []
     for i, vdoc in enumerate(raw_voters):
         try:
             voters.append(_parse_voter(vdoc, cand))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:  # wrong shape or value
             raise ParseError(f"voter {i}: malformed record ({exc})") from exc
         except (ValidationError, ParseError) as exc:
             exc.args = (f"voter {i}: {exc}",)

@@ -15,15 +15,16 @@ model plus optional observation) to the cheapest applicable solver:
   - one windowed insertion-position dynamic program, ``rep_rim``, for
     insertion models (and Mallows, via its insertion-model form: a
     ``MallowsModel`` carries its insertion rows, so every insertion solver
-    takes it as it is) with no observation or given a fully partitioned
-    preference or a truncated ranking (its top and bottom items are one-item
-    buckets): each step restricts the incoming item to its bucket's window;
+    takes it as it is) with no observation or with one whose bucket layout
+    places all m candidates (a fully partitioned preference, a truncated
+    ranking or a complete chain): each step restricts the incoming item to
+    its bucket's window;
   - a selection dynamic program for ranking selection models;
-  - for Mallows given a fully partitioned preference or a truncated ranking,
-    the cheaper plain insertion DP restricted to the target's bucket;
+  - for Mallows given such a full layout, the cheaper plain insertion DP
+    restricted to the target's bucket;
   - for insertion models given any other observation, a tracked-item
-    insertion DP over the observation's poset, whose cost is exponential in
-    the poset's cover width.
+    insertion DP over the observation's ancestor masks, whose cost is
+    exponential in the observation's cover width.
 
 Conditioning on evidence with zero probability raises ZeroPosterior: the
 posterior is undefined there, and returning a default would poison expected
@@ -70,9 +71,7 @@ from .preferences import (
     cover_width,
     ideal_levels,
     linear_extensions,
-    observation_pairs,
     tracked_items,
-    validate,
 )
 
 COVER_WIDTH_CAP = 6
@@ -144,16 +143,17 @@ def rep_uniform(c: int, obs: Observation | None, m: int) -> RankDistribution:
 
 
 def rep_rim(c: int, model: RimModel | MallowsModel,
-            fp: PartitionedPreference | None = None) -> RankDistribution:
+            obs: Observation | None = None) -> RankDistribution:
     """Track the target's position through the insertion process, optionally
-    given a fully partitioned preference ``fp``.
+    given an observation whose ``bucket_layout`` places all m candidates (a
+    fully partitioned preference, a truncated ranking or a complete chain).
 
     Inserting at a position <= k shifts the target from k to k + 1.  Under
-    ``fp`` each bucket's placed items form one block, so an item of bucket b
+    ``obs`` each bucket's placed items form one block, so an item of bucket b
     can land only in the window [1 + placed items of buckets above b,
     that + placed items of b].  The window depends on counts alone, so the
-    evidence factors over the steps: dividing each step's row by its
-    window mass keeps the state the posterior with no product to underflow,
+    evidence factors over the steps: dividing each step's window by its
+    mass keeps the state the posterior with no product to underflow,
     and zero mass raises ZeroPosterior.  With no observation the window is the
     whole row and, until the target is inserted, the state carries no
     information (each row sums to 1), so the DP starts at the target's
@@ -163,46 +163,42 @@ def rep_rim(c: int, model: RimModel | MallowsModel,
     m = len(sigma)
     i_c = sigma.index(c) + 1
     start = i_c
-    if fp is not None:
-        layout = bucket_layout(fp, m)
+    if obs is not None:
+        layout = bucket_layout(obs, m)
         if None in layout:
             raise ValidationError("preference is not fully partitioned")
         placed = [0] * m  # placed[before]: placed items of the bucket after ``before`` others
         start = 1
     q: list[float] = []  # q[k-1] = Pr(target at position k), once inserted
     for i in range(start, m + 1):
-        row, lo, hi = pi[i - 1], 0, i  # window of 0-based positions [lo, hi)
-        if fp is not None:
+        row, lo = pi[i - 1], 0  # the incoming item's window: 0-based positions lo, lo + 1, ...
+        if obs is not None:
             before = layout[sigma[i - 1]][1]
             lo = sum(placed[:before])
-            hi = lo + placed[before] + 1
+            row = row[lo:lo + placed[before] + 1]
             placed[before] += 1
-            w = sum(row[lo:hi])
+            w = sum(row)
             if w == 0.0:
                 raise ZeroPosterior("observation has zero probability under the model")
             row = [p / w for p in row]
         if i == i_c:
             q = [0.0] * i
-            q[lo:hi] = row[lo:hi]
+            q[lo:lo + len(row)] = row
         elif q:
             nq = [0.0] * i
             for k0, mass in enumerate(q):
                 if mass == 0.0:
                     continue
-                for j0 in range(lo, hi):
+                for j0, p in enumerate(row, lo):
                     if j0 <= k0:
-                        nq[k0 + 1] += mass * row[j0]
+                        nq[k0 + 1] += mass * p
                     else:
-                        nq[k0] += mass * row[j0]
+                        nq[k0] += mass * p
             q = nq
     return np.array(q)
 
 
-def rep_rim_truncated(c: int, model: RimModel | MallowsModel,
-                      tr: TruncatedRanking) -> RankDistribution:
-    """The windowed DP on the truncated ranking's partition, in which every
-    top and bottom item is a one-item bucket with a one-position window."""
-    return rep_rim(c, model, tr.to_partitioned(len(model.sigma)))
+rep_rim_truncated = rep_rim  # a truncated ranking's layout places all m candidates
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +250,9 @@ def rep_rsm(c: int, k: int, model: RsmRankingModel) -> float:
 # Insertion model conditioned on a poset (tracked-item DP)
 
 
-def rep_rim_poset(c: int, model: RimModel | MallowsModel, p: PartialOrder,
+def rep_rim_poset(c: int, model: RimModel | MallowsModel, obs: Observation,
                   cw_cap: int = COVER_WIDTH_CAP) -> RankDistribution:
-    """Posterior rank distribution of ``c`` under an insertion model given a poset.
+    """Posterior rank distribution of ``c`` under an insertion model given any observation.
 
     States map tracked items to positions: the items ``tracked_items`` keeps
     while some item they directly cover (or are covered by) is still pending,
@@ -269,12 +265,12 @@ def rep_rim_poset(c: int, model: RimModel | MallowsModel, p: PartialOrder,
     """
     sigma, pi = model.sigma, model.pi
     m = len(sigma)
-    anc_masks = ancestor_masks(p, m)  # validates p against m
-    cw = cover_width(sigma, p)
+    anc_masks = ancestor_masks(obs, m)  # validates obs against m
+    cw = cover_width(sigma, obs)
     if cw > cw_cap:
         raise CoverWidthExceeded(f"cover width {cw} exceeds cap {cw_cap}")
     tracked_after = [tuple(x for x in sigma[:i] if x == c or x in tracked)
-                     for i, tracked in enumerate(tracked_items(sigma, p), start=1)]
+                     for i, tracked in enumerate(tracked_items(sigma, obs), start=1)]
 
     states: dict[tuple[int, ...], float] = {(): 1.0}
     for i, u in enumerate(sigma, start=1):
@@ -322,12 +318,13 @@ def rep_rim_poset(c: int, model: RimModel | MallowsModel, p: PartialOrder,
 
 
 # ---------------------------------------------------------------------------
-# Mallows conditioned on a fully partitioned preference
+# Mallows conditioned on ordered buckets over all m candidates
 
 
-def rep_mallows_partitioned(c: int, model: MallowsModel, fp: PartitionedPreference,
+def rep_mallows_partitioned(c: int, model: MallowsModel, fp: Observation,
                             m: int | None = None) -> RankDistribution:
-    """Restrict the model to the target's bucket and solve locally.
+    """Restrict the model to the target's bucket and solve locally; ``fp`` is
+    any observation whose ``bucket_layout`` places all m candidates.
 
     Cross-bucket pair disagreements are fixed by the bucket order and the
     arrangement of each bucket is independent, so the target's rank within
@@ -441,10 +438,8 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
 
     if obs is None:  # insertion models, Mallows included
         return rep_rim(c, model)
-    if isinstance(obs, TruncatedRanking):  # fully partitioned by construction
-        obs = obs.to_partitioned(m)
-    elif not (isinstance(obs, PartitionedPreference) and obs.is_fully_partitioned(m)):
-        return rep_rim_poset(c, model, PartialOrder(observation_pairs(obs)))
+    if isinstance(obs, PartialOrder) or None in bucket_layout(obs, m):
+        return rep_rim_poset(c, model, obs)
     if isinstance(model, MallowsModel):  # the cheaper restriction to the target's bucket
         return rep_mallows_partitioned(c, model, obs, m)
     return rep_rim(c, model, obs)
@@ -457,22 +452,15 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
 def voter_support(voter: Voter, m: int, cap: int = COMPLETION_CAP) -> list[tuple[Ranking, float]]:
     """All rankings with nonzero posterior probability for one voter.
 
-    The linear extensions of the observation's poset (the empty poset without
-    one), weighted by the generation-step model and renormalized.  More than
+    The linear extensions of the observation (all rankings without one),
+    weighted by the generation-step model and renormalized.  More than
     ``cap`` completions raise TooLarge before any ranking is built.
     """
-    obs = voter.observation
-    pairs: frozenset[tuple[int, int]] = frozenset()
-    if obs is not None:
-        validate(obs, m)
-        pairs = observation_pairs(obs.to_partitioned(m) if isinstance(obs, TruncatedRanking)
-                                  else obs)
-
     model = voter.model
     if model is not None:
         _check_model(model, m)
     support: list[tuple[Ranking, float]] = []
-    for r in linear_extensions(PartialOrder(pairs), m, cap):
+    for r in linear_extensions(voter.observation, m, cap):
         if model is None:
             w = 1.0
         elif isinstance(model, RsmRankingModel):

@@ -85,6 +85,16 @@ def random_observation(rng, m, kind=None):
     raise ValueError(kind)
 
 
+def pair_poset(obs, m):
+    """An observation as the poset of its preference pairs, built from
+    ``to_pairs()``: the reference the bucket views are compared against."""
+    if isinstance(obs, PartialOrder):
+        return obs
+    if isinstance(obs, TruncatedRanking):
+        obs = obs.to_partitioned(m)
+    return PartialOrder(obs.to_pairs())
+
+
 def random_model(rng, m, kind=None):
     kind = kind or str(rng.choice(MODEL_KINDS))
     if kind == "uniform":

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import mewvote.bench as bench
+from mewvote import ParseError
 from mewvote.cli import main
 from mewvote.rep import _uniform_poset_table
 
@@ -118,6 +119,28 @@ def test_input_error_exit_code(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, _ = run_cli(capsys, "mew", "--profile", str(bad), "--rule", "plurality")
     assert code == 1
+
+
+def test_malformed_profile_exit_code(capsys, tmp_path):
+    doc = {"format": 1, "candidates": ["a", "b", "c"],
+           "voters": [{"type": "mallows", "sigma": ["a", "b", "c"], "phi": "abc"}]}
+    path = tmp_path / "bad_phi.profile"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "mew", "--profile", str(path), "--rule", "plurality")
+    assert code == 1
+    assert err.startswith("error: voter 0:")
+
+
+def test_malformed_bench_spec_exit_code(capsys, tmp_path):
+    spec_file = tmp_path / "bench.json"
+    for spec in ({"runs": [{"kind": "poset", "bogus": 1}]}, {"kinds": []}, [3]):
+        spec_file.write_text(json.dumps(spec))
+        code, _, err = run_cli(capsys, "bench", "--spec", str(spec_file), "--out", "-")
+        assert code == 1
+        assert err.startswith("error: ")
+    spec_file.write_text(json.dumps({"runs": [{"kind": "poset", "bogus": 1}]}))
+    with pytest.raises(ParseError, match="run 0"):
+        bench.parse_bench_spec(spec_file.read_text())
 
 
 def test_unsupported_voter_exit_code(capsys, tmp_path):

@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import OBSERVATION_KINDS, random_observation, random_poset
+from conftest import OBSERVATION_KINDS, pair_poset, random_observation, random_poset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mewvote import (
     CycleDetected,
+    MallowsModel,
     OverlapViolation,
     PartialChain,
     PartialOrder,
@@ -20,11 +21,13 @@ from mewvote import (
     candidate_set,
     cover_width,
     linear_extensions,
+    mallows_to_rim,
     rank_bounds,
     rep_dispatch,
     validate,
+    voter_support,
 )
-from mewvote.preferences import bucket_window, tracked_items
+from mewvote.preferences import ancestor_masks, bucket_layout, bucket_window, tracked_items
 
 ABC = candidate_set("a", "b", "c")
 
@@ -209,14 +212,54 @@ def test_rank_bounds_rejects_candidates_outside_the_set():
 
 
 def test_rank_bounds_rejects_invalid_bucket_observations():
-    with pytest.raises(UnknownCandidate):
-        rank_bounds(0, PartialChain((0, 12)), 10)
-    with pytest.raises(UnknownCandidate):
-        rank_bounds(0, TruncatedRanking((12,), ()), 10)
-    with pytest.raises(OverlapViolation):
-        rank_bounds(0, PartitionedPreference([[0, 1], [1]]), 10)
-    with pytest.raises(OverlapViolation):
-        rank_bounds(0, TruncatedRanking((0,), (0,)), 10)
+    # and so do validate and every solver route, with the same class
+    mallows = MallowsModel(range(10), 0.5)
+    cases = [
+        (PartialChain((0, 12)), UnknownCandidate),
+        (TruncatedRanking((12,), ()), UnknownCandidate),
+        (PartitionedPreference([[0, 1], [1]]), OverlapViolation),
+        (TruncatedRanking((0,), (0,)), OverlapViolation),
+        (PartitionedPreference([[0], []]), ValidationError),
+        (PartialChain((0, 0)), OverlapViolation),
+        (PartitionedPreference([[0], [1]], missing=[1]), OverlapViolation),  # bucketed and missing
+        (PartitionedPreference([[0], [1]], missing=[12]), UnknownCandidate),
+        (PartitionedPreference([[0], [1]], missing=[-1]), UnknownCandidate),
+        (TruncatedRanking((), (12,)), UnknownCandidate),
+    ]
+    for obs, error in cases:
+        with pytest.raises(error):
+            rank_bounds(0, obs, 10)
+        with pytest.raises(error):
+            validate(obs, 10)
+        for model in (None, mallows, mallows_to_rim(mallows)):
+            with pytest.raises(error):
+                rep_dispatch(0, Voter(model, obs), 10)
+            with pytest.raises(error):
+                voter_support(Voter(model, obs), 10)
+
+
+def test_validate_fills_no_cache():
+    bucket_layout.cache_clear()
+    ancestor_masks.cache_clear()
+    for obs in (PartitionedPreference([[0, 1], [2]], [3]), PartialChain((2, 0)),
+                TruncatedRanking((1,), (0,)), PartialOrder([(0, 1), (1, 2)])):
+        validate(obs, 5)
+        assert bucket_layout.cache_info().currsize == 0
+        assert ancestor_masks.cache_info().currsize == 0
+
+
+@given(st.integers(0, 10_000), st.sampled_from(("chain", "ranking", "pp", "fp", "truncated")))
+@settings(max_examples=150, deadline=None)
+def test_bucket_observations_read_as_their_pair_posets(seed, kind):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 13))
+    obs = random_observation(rng, m, kind)
+    poset = pair_poset(obs, m)
+    assert ancestor_masks(obs, m) == ancestor_masks(poset, m), obs
+    sigma = tuple(int(x) for x in rng.permutation(m))
+    assert tracked_items(sigma, obs) == tracked_items(sigma, poset), (sigma, obs)
+    if m <= 7:
+        assert linear_extensions(obs, m) == linear_extensions(poset, m), obs
 
 
 # The per-shape window computations bucket_window made on every call before it

@@ -98,6 +98,53 @@ def test_malformed_documents():
     with pytest.raises(ValidationError):
         parse_profile(json.dumps({"format": 1, "candidates": ["a", "b"],
                                   "voters": [{"type": "poset", "pairs": [], "weight": 0}]}))
+    for voters in (5, ["a voter"], [{"type": "combined", "model": "mallows", "observation": {}}]):
+        with pytest.raises(ParseError):
+            parse_profile(json.dumps({"format": 1, "candidates": ["a", "b"], "voters": voters}))
+
+
+def _document(voter, candidates=("a", "b", "c")):
+    return json.dumps({"format": 1, "candidates": candidates, "voters": [voter]})
+
+
+def _mallows(phi=0.5):
+    return {"type": "mallows", "sigma": ["a", "b", "c"], "phi": phi}
+
+
+def test_non_numeric_phi_is_a_parse_error_naming_the_voter():
+    with pytest.raises(ParseError, match="voter 0"):
+        parse_profile(_document(_mallows(phi="abc")))
+
+
+def test_non_numeric_pi_entry_is_a_parse_error_naming_the_voter():
+    voter = {"type": "rim", "sigma": ["a", "b", "c"], "pi": [[1.0], ["x", 0.5], [0.2, 0.3, 0.5]]}
+    with pytest.raises(ParseError, match="voter 0"):
+        parse_profile(_document(voter))
+
+
+def test_candidates_must_be_an_array():
+    with pytest.raises(ParseError, match="candidates"):
+        parse_profile(_document({"type": "poset", "pairs": []}, candidates=5))
+
+
+def test_candidates_given_as_a_string_are_rejected():
+    with pytest.raises(ParseError, match="candidates"):
+        parse_profile(_document({"type": "chain", "chain": ["a"]}, candidates="ab"))
+
+
+def test_names_given_as_a_string_are_rejected():
+    for voter in ({"type": "chain", "chain": "ab"},
+                  {"type": "poset", "pairs": ["ab"]},
+                  {"type": "truncated", "top": "a", "bottom": []},
+                  {"type": "partitioned", "buckets": ["ab", ["c"]]},
+                  {"type": "mallows", "sigma": "abc", "phi": 0.5}):
+        with pytest.raises(ParseError, match="voter 0"):
+            parse_profile(_document(voter))
+
+
+def test_boolean_weight_is_rejected():
+    with pytest.raises(ValidationError, match="voter 0"):
+        parse_profile(_document({"type": "chain", "chain": ["a"], "weight": True}))
 
 
 def test_ranking_tag_requires_full_coverage():

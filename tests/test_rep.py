@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     OBSERVATION_KINDS,
     SUPPORTED_COMBOS,
+    pair_poset,
     random_model,
     random_observation,
     random_poset,
@@ -55,7 +56,7 @@ from mewvote import (
 )
 from mewvote.models import uniform_rim
 from mewvote.oracle import fcp_count, oracle_rank_distribution
-from mewvote.preferences import ancestor_masks, bucket_layout, observation_pairs
+from mewvote.preferences import ancestor_masks, bucket_layout
 
 
 # --- closed form over ordered buckets ----------------------------------
@@ -305,6 +306,28 @@ def _unreachable(*args, **kwargs):
     raise AssertionError("rep_rim_poset reached")
 
 
+def test_full_layouts_under_insertion_models_never_reach_the_tracked_item_dp(monkeypatch):
+    # a full partition, a truncation or a complete chain places all m candidates,
+    # so the windowed DP solves it; a complete chain is a point mass on both routes
+    rng = np.random.default_rng(61)
+    cases = []
+    for m in (3, 5, 6):
+        for obs_kind in ("fp", "truncated", "ranking"):
+            for model_kind in ("mallows", "rim"):
+                obs = random_observation(rng, m, obs_kind)
+                model = random_model(rng, m, model_kind)
+                want = [rep_rim_poset(c, model, pair_poset(obs, m)) for c in range(m)]
+                cases.append((m, Voter(model, obs), want))
+    monkeypatch.setattr(rep, "rep_rim_poset", _unreachable)
+    for m, voter, want in cases:
+        for c in range(m):
+            got = rep_dispatch(c, voter, m)
+            if isinstance(voter.observation, PartialChain):
+                assert np.array_equal(got, want[c]), voter
+            else:
+                assert np.allclose(got, want[c], rtol=0, atol=1e-12), voter
+
+
 def test_uniform_posets_past_the_limit_solve_without_the_tracked_item_dp(monkeypatch):
     rep._uniform_poset_table.cache_clear()
     monkeypatch.setattr(rep, "rep_rim_poset", _unreachable)
@@ -406,12 +429,7 @@ def test_voter_support_rejects_out_of_range_observations():
 # lattice, kept as an independent reference for its rankings, order and weights.
 def _filtered_support(voter, m):
     obs, model = voter.observation, voter.model
-    if obs is None:
-        pairs = frozenset()
-    elif isinstance(obs, TruncatedRanking):
-        pairs = obs.to_partitioned(m).to_pairs()
-    else:
-        pairs = observation_pairs(obs)
+    pairs = frozenset() if obs is None else pair_poset(obs, m).pairs
     support = []
     for perm in itertools.permutations(range(m)):
         pos = {x: t for t, x in enumerate(perm)}
