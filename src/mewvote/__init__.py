@@ -6,7 +6,7 @@ winning-probability winners, a brute-force possible-worlds oracle, synthetic
 profile generators, and a tagged JSON profile format.
 """
 
-from .engine import MewResult, MewStats, expected_regret, expected_score, mew, mew_parallel
+from .engine import MewResult, MewStats, expected_score, mew, mew_parallel
 from .errors import (
     CoverWidthExceeded,
     CycleDetected,
@@ -38,6 +38,7 @@ from .models import (
     uniform_rim,
 )
 from .mpw import MpwResult, mpw
+from .oracle import oracle_expected_regret as expected_regret
 from .preferences import (
     CandidateSet,
     PartialChain,
@@ -58,9 +59,8 @@ from .profile_io import (
     save_profile,
     serialize_profile,
 )
-from .profiles import Profile
+from .profiles import Profile, Voter
 from .rep import (
-    Voter,
     rep_dispatch,
     rep_mallows_partitioned,
     rep_rim,

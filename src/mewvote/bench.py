@@ -14,7 +14,7 @@ from .errors import ParseError
 from .generators import GenSpec, cover_width_profile, generate
 from .mpw import mpw
 from .profiles import Profile
-from .rep import _uniform_poset_table
+from .rep import clear_caches
 from .rules import parse_rule
 
 CSV_COLUMNS = (
@@ -51,10 +51,10 @@ def build_profile(run: BenchRun) -> Profile:
 
 
 def time_run(run: BenchRun, profile: Profile) -> float:
-    """Wall time of one cold run: the table cache is emptied first, so repeats
-    of a run are never averaged with warm ones."""
+    """Wall time of one cold run: ``rep.clear_caches`` empties every solver,
+    preference and model cache first, so repeats are never averaged with warm ones."""
     rule = parse_rule(run.rule, profile.m)
-    _uniform_poset_table.cache_clear()
+    clear_caches()
     start = time.perf_counter()
     if run.algo == "mpw":
         mpw(profile, rule)

@@ -1,14 +1,18 @@
 """Profile-level expected-score aggregation and winner determination.
 
-One loop computes every result: identical voters are grouped into weighted
-groups, and each group in turn adds its weighted exact expected score to every
-candidate still alive.  With pruning on, per-candidate score bounds are first
-seeded from best/worst attainable ranks; each group's exact contribution then
-replaces its bound contribution, and candidates whose upper bound falls below
-the best lower bound are dropped.  Pruning and grouping never change the
-winner set.  The parallel mode computes the groups' score vectors across
-worker processes and runs the same loop with pruning off, so its output is
-bit-identical for any worker count and equals ``mew(pruning=False)``.
+One loop computes every result: identical voters are grouped into
+``(voter, total weight)`` pairs, and each group in turn adds its weighted
+exact expected score to every candidate still alive.  With pruning on,
+per-candidate score bounds are first seeded from best/worst attainable ranks;
+each group's exact contribution then replaces its bound contribution, and
+candidates whose upper bound falls below the best lower bound are dropped.
+Pruning and grouping never change the winner set.  The parallel mode computes
+the groups' score vectors across worker processes and runs the same loop with
+pruning off, so its output is bit-identical for any worker count and equals
+``mew(pruning=False)``.
+
+The engine solves through ``rep`` alone; the possible-worlds oracle that
+checks it (and owns the expected regret) is never imported here.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import numpy as np
 
 from .errors import InvalidRule
 from .preferences import rank_bounds
-from .profiles import Profile
-from .rep import Voter, rep_dispatch
+from .profiles import Profile, Voter
+from .rep import rep_dispatch
 from .rules import ScoringRule, check_rule_size
 
 WINNER_REL_TOL = 1e-9
@@ -49,35 +53,22 @@ class MewResult:
     stats: MewStats
 
 
-@dataclass(frozen=True)
-class _Group:
-    voter: Voter      # weight-1 view used for solver calls
-    weight: int
-    first_index: int
-
-
 def expected_score(c: int, voter: Voter, rule: ScoringRule) -> float:
     """Expected score of candidate ``c`` from a single voter (weight excluded)."""
     dist = rep_dispatch(c, voter, rule.m)
     return float(np.dot(dist, rule.score_array))
 
 
-def _grouped(profile: Profile, grouping: bool) -> list[_Group]:
+def _grouped(profile: Profile, grouping: bool) -> list[tuple[Voter, int]]:
+    """(voter, total weight) pairs.  Grouped, one per distinct (model,
+    observation), heaviest first and ties in order of first appearance;
+    ungrouped, every voter with its own weight in profile order."""
     if not grouping:
-        return [_Group(Voter(v.model, v.observation), v.weight, i)
-                for i, v in enumerate(profile.voters)]
-    groups: list[_Group] = []
-    index: dict[tuple, int] = {}
-    for i, v in enumerate(profile.voters):
-        key = v.group_key()
-        if key in index:
-            g = groups[index[key]]
-            groups[index[key]] = _Group(g.voter, g.weight + v.weight, g.first_index)
-        else:
-            index[key] = len(groups)
-            groups.append(_Group(Voter(v.model, v.observation), v.weight, i))
-    groups.sort(key=lambda g: (-g.weight, g.first_index))
-    return groups
+        return [(v, v.weight) for v in profile.voters]
+    groups: dict[tuple, list] = {}
+    for v in profile.voters:
+        groups.setdefault(v.group_key(), [v, 0])[1] += v.weight
+    return sorted(((v, w) for v, w in groups.values()), key=lambda g: -g[1])
 
 
 def _winner_ids(profile: Profile, scores: dict[int, float]) -> tuple[str, ...]:
@@ -87,14 +78,15 @@ def _winner_ids(profile: Profile, scores: dict[int, float]) -> tuple[str, ...]:
                  if scores[c] >= top - tol)
 
 
-def _seed_bounds(groups: list[_Group], rule: ScoringRule) -> tuple[np.ndarray, np.ndarray]:
+def _seed_bounds(groups: list[tuple[Voter, int]],
+                 rule: ScoringRule) -> tuple[np.ndarray, np.ndarray]:
     """Per-(group, candidate) scores at the best and the worst attainable rank."""
     m = rule.m
     best = np.empty((len(groups), m))
     worst = np.empty((len(groups), m))
-    for gi, g in enumerate(groups):
+    for gi, (voter, _) in enumerate(groups):
         for c in range(m):
-            b, w = rank_bounds(c, g.voter.observation, m)
+            b, w = rank_bounds(c, voter.observation, m)
             best[gi, c] = rule.scores[b - 1]
             worst[gi, c] = rule.scores[w - 1]
     return best, worst
@@ -106,7 +98,7 @@ def _survivors(alive: set[int], ub: list[float], lb: list[float]) -> set[int]:
     return {c for c in alive if ub[c] >= max_lb - eps}
 
 
-def _solve(profile: Profile, rule: ScoringRule, groups: list[_Group],
+def _solve(profile: Profile, rule: ScoringRule, groups: list[tuple[Voter, int]],
            group_scores: Callable[[int, list[int]], list[float]], pruning: bool,
            t0: float, workers: int = 1) -> MewResult:
     """The engine loop; ``group_scores(gi, cands)`` are the exact scores of
@@ -117,21 +109,21 @@ def _solve(profile: Profile, rule: ScoringRule, groups: list[_Group],
     groups_done = [0] * m
     if pruning:
         best, worst = _seed_bounds(groups, rule)
-        weights = np.array([g.weight for g in groups], dtype=float)
+        weights = np.array([w for _, w in groups], dtype=float)
         ub = [float(v) for v in weights @ best]
         lb = [float(v) for v in weights @ worst]
         alive = _survivors(alive, ub, lb)
 
-    for gi, g in enumerate(groups):
+    for gi, (_, weight) in enumerate(groups):
         if len(alive) == 1:  # only pruning gets here, since m >= 2
             break
         cands = sorted(alive)
         for c, e in zip(cands, group_scores(gi, cands)):
-            exact[c] += g.weight * e
+            exact[c] += weight * e
             groups_done[c] += 1
             if pruning:
-                ub[c] += g.weight * (e - best[gi, c])
-                lb[c] += g.weight * (e - worst[gi, c])
+                ub[c] += weight * (e - best[gi, c])
+                lb[c] += weight * (e - worst[gi, c])
         if pruning:
             alive = _survivors(alive, ub, lb)
 
@@ -167,7 +159,7 @@ def mew(profile: Profile, rule: ScoringRule, *,
     check_rule_size(rule, profile.m)
     groups = _grouped(profile, grouping)
     return _solve(profile, rule, groups,
-                  lambda gi, cands: [expected_score(c, groups[gi].voter, rule) for c in cands],
+                  lambda gi, cands: [expected_score(c, groups[gi][0], rule) for c in cands],
                   pruning, t0)
 
 
@@ -193,7 +185,7 @@ def mew_parallel(profile: Profile, rule: ScoringRule, workers: int = 1) -> MewRe
     if workers < 1:
         raise InvalidRule(f"workers must be >= 1, got {workers}")
     groups = _grouped(profile, grouping=True)
-    indexed = list(enumerate(g.voter for g in groups))
+    indexed = list(enumerate(v for v, _ in groups))
     chunks = [indexed[i::workers] for i in range(min(workers, len(indexed)))]
     if len(chunks) < 2:  # a pool would run everything on one worker anyway
         vectors = dict(_score_chunk(indexed, rule))
@@ -204,12 +196,3 @@ def mew_parallel(profile: Profile, rule: ScoringRule, workers: int = 1) -> MewRe
             vectors = {gi: vec for part in parts for gi, vec in part}
     return _solve(profile, rule, groups, lambda gi, cands: [vectors[gi][c] for c in cands],
                   pruning=False, t0=t0, workers=workers)
-
-
-def expected_regret(c: int, profile: Profile, rule: ScoringRule,
-                    cap: int | None = None) -> float:
-    """Expected (best-in-world score minus c's score); minimized by the winners."""
-    from .oracle import oracle_expected_regret
-
-    check_rule_size(rule, profile.m)
-    return oracle_expected_regret(c, profile, rule, cap)

@@ -20,8 +20,7 @@ from .preferences import (
     PartitionedPreference,
     TruncatedRanking,
 )
-from .profiles import Profile
-from .rep import Voter
+from .profiles import Profile, Voter
 
 KINDS = (
     "poset", "partitioned_full", "partitioned_partial", "chain", "truncated",

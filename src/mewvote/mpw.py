@@ -19,8 +19,8 @@ import time
 from dataclasses import dataclass
 
 from .errors import TooLarge
-from .profiles import Profile
-from .rep import Voter, rep_dispatch, voter_support
+from .profiles import Profile, Voter
+from .rep import rep_dispatch, voter_support
 from .rules import ScoringRule, check_rule_size, integer_scores
 
 

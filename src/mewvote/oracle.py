@@ -2,7 +2,8 @@
 
 Everything here recomputes posteriors by direct enumeration and filtering,
 on purpose sharing no code with the rank-estimation solvers it is used to
-check.  Caps are explicit and loud; nothing is ever sampled.
+check: it imports the data modules and none of ``rep``, ``engine``, ``mpw``
+or ``bench``.  Caps are explicit and loud; nothing is ever sampled.
 
 A weighted voter (multiplicity w) is expanded into w independent copies, so
 possible-world semantics match a profile in which the voter literally appears
@@ -26,9 +27,8 @@ from .preferences import (
     Ranking,
     TruncatedRanking,
 )
-from .profiles import Profile
-from .rep import Voter
-from .rules import ScoringRule, integer_scores
+from .profiles import Profile, Voter
+from .rules import ScoringRule, check_rule_size, integer_scores
 
 DEFAULT_WORLD_CAP = 1_000_000
 ENUMERATION_M_CAP = 10
@@ -197,7 +197,9 @@ def meta_scores(meta: list[tuple[Ranking, float]], rule: ScoringRule, m: int) ->
 
 def oracle_expected_regret(c: int, profile: Profile, rule: ScoringRule,
                            cap: int | None = None) -> float:
-    """E[ max candidate score in world - c's score in world ]."""
+    """E[ max candidate score in world - c's score in world ]; minimized by
+    the winners."""
+    check_rule_size(rule, profile.m)
     m = profile.m
     total = 0.0
     for world in enumerate_worlds(profile, cap):

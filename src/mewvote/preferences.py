@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import CycleDetected, OverlapViolation, TooLarge, UnknownCandidate, ValidationError
+from .errors import (CycleDetected, OverlapViolation, TooLarge, UnknownCandidate, Unsupported,
+                     ValidationError)
 
 Ranking = tuple[int, ...]
 
@@ -273,7 +274,8 @@ def _bucket_layout(obs: PartitionedPreference | PartialChain | TruncatedRanking,
     size; None marks a candidate the observation says nothing about.  The
     candidates of one bucket share one window tuple.  Building it validates
     the observation: an empty bucket, an item outside 0..m-1 and an item
-    placed twice (in two buckets, or bucketed and missing) raise.
+    placed twice (in two buckets, or bucketed and missing) raise, and so
+    does any other type (Unsupported), for every caller.
     """
     if isinstance(obs, PartitionedPreference):
         buckets, missing = obs.buckets, obs.missing
@@ -284,7 +286,7 @@ def _bucket_layout(obs: PartitionedPreference | PartialChain | TruncatedRanking,
         buckets = [(c,) for c in obs.top] + [middle] * bool(middle) + [(c,) for c in obs.bottom]
         missing = ()
     else:
-        raise TypeError(f"no bucket view of {type(obs).__name__}")
+        raise Unsupported(f"unknown observation type {type(obs).__name__}")
     k = sum(map(len, buckets))
     layout: list[tuple[int, int, int] | None] = [None] * m
     before = 0

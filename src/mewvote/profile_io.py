@@ -20,8 +20,7 @@ from .preferences import (
     PartitionedPreference,
     TruncatedRanking,
 )
-from .profiles import Profile
-from .rep import Voter
+from .profiles import Profile, Voter
 
 FORMAT_VERSION = 1
 
@@ -98,15 +97,21 @@ def _indices(names, cand: CandidateSet) -> list[int]:
     return [cand.index_of(x) for x in names]
 
 
+def _number(value, field: str):
+    """A JSON number; a string or a boolean, which ``float`` would take, raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{field} must be a JSON number, got {value!r}")
+    return value
+
+
 def _parse_model(doc, cand: CandidateSet):
     kind = doc.get("type")
     sigma = tuple(_indices(doc.get("sigma", []), cand))
     if kind == "mallows":
-        return MallowsModel(sigma, doc["phi"])
-    if kind == "rim":
-        return RimModel(sigma, doc["pi"])
-    if kind == "rsm":
-        return RsmRankingModel(sigma, doc["pi"])
+        return MallowsModel(sigma, _number(doc["phi"], "'phi'"))
+    if kind in ("rim", "rsm"):  # a non-array row or pi iterates to strings or raises
+        pi = [[_number(p, "a 'pi' entry") for p in row] for row in doc["pi"]]
+        return (RimModel if kind == "rim" else RsmRankingModel)(sigma, pi)
     raise ParseError(f"unknown model type {kind!r}")
 
 
@@ -159,7 +164,7 @@ def parse_profile(text: str) -> Profile:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("profile document must be a JSON object")
-    if doc.get("format") != FORMAT_VERSION:
+    if isinstance(doc.get("format"), bool) or doc.get("format") != FORMAT_VERSION:
         raise ParseError(f"unsupported format {doc.get('format')!r}, expected {FORMAT_VERSION}")
     names = doc.get("candidates")
     if not isinstance(names, list):

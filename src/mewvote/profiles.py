@@ -1,13 +1,35 @@
-"""Voting profiles: a shared candidate set plus an ordered list of voters."""
+"""Voters and voting profiles (a shared candidate set plus an ordered list of
+voters): the data layer that solvers, engine, oracle and profile format read."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .models import validate_reference
-from .preferences import CandidateSet, validate
-from .rep import Voter
+from .models import MallowsModel, RimModel, RsmRankingModel, validate_reference
+from .preferences import CandidateSet, Observation, PartialOrder, validate
+
+
+@dataclass(frozen=True)
+class Voter:
+    """One voter: a generation-step model, an optional observation, a multiplicity.
+
+    ``model`` is None for the uniform generation step.  A complete ranking is
+    represented as a full-length partial chain observation.
+    """
+
+    model: MallowsModel | RimModel | RsmRankingModel | None = None
+    observation: Observation | None = None
+    weight: int = 1
+
+    def __post_init__(self):
+        if isinstance(self.observation, PartialOrder) and not self.observation.pairs:
+            object.__setattr__(self, "observation", None)  # canonical "no information"
+        if self.weight < 1:
+            raise ValidationError(f"voter weight must be >= 1, got {self.weight}")
+
+    def group_key(self):
+        return (self.model, self.observation)
 
 
 @dataclass(frozen=True)

@@ -28,17 +28,19 @@ model plus optional observation) to the cheapest applicable solver:
 
 Conditioning on evidence with zero probability raises ZeroPosterior: the
 posterior is undefined there, and returning a default would poison expected
-scores silently.
+scores silently; an observation of no known type raises Unsupported where
+its bucket layout is built.  ``Voter`` comes from ``profiles``.
+``clear_caches`` empties the process-wide caches, so a timed solve starts cold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import models, preferences
 from .errors import (
     CoverWidthExceeded,
     RankOutOfRange,
@@ -58,11 +60,8 @@ from .preferences import (
     COMPLETION_CAP,
     IDEAL_BUDGET,
     Observation,
-    PartialChain,
     PartialOrder,
-    PartitionedPreference,
     Ranking,
-    TruncatedRanking,
     _bits,
     ancestor_masks,
     bucket_layout,
@@ -73,33 +72,12 @@ from .preferences import (
     linear_extensions,
     tracked_items,
 )
+from .profiles import Voter
 
 COVER_WIDTH_CAP = 6
 STATE_FLOOR = 1e-100  # rep_rim_poset rescales its states when their total falls below it
 
 RankDistribution = np.ndarray
-
-
-@dataclass(frozen=True)
-class Voter:
-    """One voter: a generation-step model, an optional observation, a multiplicity.
-
-    ``model`` is None for the uniform generation step.  A complete ranking is
-    represented as a full-length partial chain observation.
-    """
-
-    model: MallowsModel | RimModel | RsmRankingModel | None = None
-    observation: Observation | None = None
-    weight: int = 1
-
-    def __post_init__(self):
-        if isinstance(self.observation, PartialOrder) and not self.observation.pairs:
-            object.__setattr__(self, "observation", None)  # canonical "no information"
-        if self.weight < 1:
-            raise ValidationError(f"voter weight must be >= 1, got {self.weight}")
-
-    def group_key(self):
-        return (self.model, self.observation)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +403,7 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
     if model is None:
         if isinstance(obs, PartialOrder):
             return uniform_poset_distribution(c, obs, m)
-        if obs is None or isinstance(obs, (PartitionedPreference, PartialChain, TruncatedRanking)):
-            return rep_uniform(c, obs, m)
-        raise Unsupported(f"unknown observation type {type(obs).__name__}")
+        return rep_uniform(c, obs, m)
 
     _check_model(model, m)
 
@@ -473,3 +449,11 @@ def voter_support(voter: Voter, m: int, cap: int = COMPLETION_CAP) -> list[tuple
     if total <= 0.0:
         raise ZeroPosterior("observation has zero probability under the model")
     return [(r, w / total) for r, w in support]
+
+
+def clear_caches() -> None:
+    """Empty every ``lru_cache`` in this module, ``preferences`` and ``models``."""
+    for namespace in (vars(models), vars(preferences), globals()):
+        for obj in namespace.values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()

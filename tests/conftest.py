@@ -4,6 +4,9 @@ from pathlib import Path
 
 import pytest
 
+import mewvote.models
+import mewvote.preferences
+import mewvote.rep
 from mewvote import (
     MallowsModel,
     PartialChain,
@@ -27,6 +30,15 @@ MODEL_KINDS = ("uniform", "mallows", "rim")
 @pytest.fixture
 def data_dir() -> Path:
     return DATA
+
+
+def solver_caches():
+    """Every ``lru_cache`` in the solver, preference and model modules,
+    found by walking the modules rather than from a list that could go stale."""
+    modules = (mewvote.rep, mewvote.preferences, mewvote.models)
+    found = {id(obj): obj for module in modules for obj in vars(module).values()
+             if hasattr(obj, "cache_info")}
+    return list(found.values())
 
 
 def random_ranking(rng, m):

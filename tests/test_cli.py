@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import solver_caches
 
 import mewvote.bench as bench
 from mewvote import ParseError
@@ -98,16 +99,20 @@ def test_bench_csv(capsys, tmp_path):
 
 
 def test_bench_repeats_start_with_an_empty_table_cache(monkeypatch):
-    sizes = []
+    sizes, all_sizes = [], []
     real_mew = bench.mew
 
     def spy(*args, **kwargs):
         sizes.append(_uniform_poset_table.cache_info().currsize)
+        # every other solver, preference and model cache is cold too
+        all_sizes.append({cache.__wrapped__.__name__: cache.cache_info().currsize
+                          for cache in solver_caches()})
         return real_mew(*args, **kwargs)
 
     monkeypatch.setattr(bench, "mew", spy)
     bench.run_bench([bench.BenchRun(kind="poset", m=6, n=10, seed=3)], repeat=3)
     assert sizes == [0, 0, 0]
+    assert [set(s.values()) for s in all_sizes] == [{0}] * 3, all_sizes
 
 
 def test_input_error_exit_code(capsys, tmp_path):

@@ -99,6 +99,23 @@ def test_grouping_leaves_scores_unchanged():
     assert without_g.stats.groups == 30
 
 
+def test_groups_are_heaviest_first_with_ties_in_order_of_first_appearance():
+    from mewvote.engine import _grouped
+
+    a, c = Voter(None, PartialChain((0, 1))), Voter(None, PartialChain((2, 0)))
+    b2 = Voter(None, PartialChain((1, 2)), weight=2)
+    heavy = Voter(MallowsModel((0, 1, 2), 0.5), None, weight=3)
+    prof = Profile(candidate_set("a", "b", "c"), [a, b2, c, a, heavy, c])
+    grouped = _grouped(prof, True)
+    # b2 alone weighs 2, as much as the two a's and the two c's: ties keep first appearance
+    assert grouped == [(heavy, 3), (a, 2), (b2, 2), (c, 2)]
+    assert [v for v, _ in grouped] == [prof.voters[i] for i in (4, 0, 1, 2)]
+    assert all(v is prof.voters[i] for (v, _), i in zip(grouped, (4, 0, 1, 2)))  # no copies
+    ungrouped = _grouped(prof, False)
+    assert ungrouped == [(v, v.weight) for v in prof.voters]
+    assert all(v is u for (v, _), u in zip(ungrouped, prof.voters))
+
+
 def test_duplicating_voters_doubles_scores():
     rng = np.random.default_rng(23)
     prof = random_supported_profile(rng, world_budget=300)
@@ -179,20 +196,20 @@ def test_bounds_shrink_monotonically():
     lb = np.zeros(prof.m)
     seed_best = {}
     seed_worst = {}
-    for gi, g in enumerate(groups):
+    for gi, (voter, weight) in enumerate(groups):
         for c in range(prof.m):
-            b, w = rank_bounds(c, g.voter.observation, prof.m)
+            b, w = rank_bounds(c, voter.observation, prof.m)
             seed_best[gi, c] = rule.scores[b - 1]
             seed_worst[gi, c] = rule.scores[w - 1]
-            ub[c] += g.weight * seed_best[gi, c]
-            lb[c] += g.weight * seed_worst[gi, c]
+            ub[c] += weight * seed_best[gi, c]
+            lb[c] += weight * seed_worst[gi, c]
     assert np.all(lb <= ub + 1e-12)
-    for gi, g in enumerate(groups):
+    for gi, (voter, weight) in enumerate(groups):
         prev_ub, prev_lb = ub.copy(), lb.copy()
         for c in range(prof.m):
-            e = expected_score(c, g.voter, rule)
-            ub[c] += g.weight * (e - seed_best[gi, c])
-            lb[c] += g.weight * (e - seed_worst[gi, c])
+            e = expected_score(c, voter, rule)
+            ub[c] += weight * (e - seed_best[gi, c])
+            lb[c] += weight * (e - seed_worst[gi, c])
         assert np.all(ub <= prev_ub + 1e-12)
         assert np.all(lb >= prev_lb - 1e-12)
         assert np.all(lb <= ub + 1e-12)

@@ -90,8 +90,10 @@ def test_parse_errors_name_the_voter():
 def test_malformed_documents():
     with pytest.raises(ParseError):
         parse_profile("not json")
-    with pytest.raises(ParseError):
-        parse_profile(json.dumps({"format": 99, "candidates": ["a", "b"], "voters": []}))
+    for fmt in (99, True, "1"):  # True == 1 in Python
+        with pytest.raises(ParseError, match="unsupported format"):
+            parse_profile(json.dumps({"format": fmt, "candidates": ["a", "b"],
+                                      "voters": [{"type": "poset", "pairs": []}]}))
     with pytest.raises(ParseError):
         parse_profile(json.dumps({"format": 1, "candidates": ["a", "b"],
                                   "voters": [{"type": "hologram"}]}))
@@ -112,14 +114,26 @@ def _mallows(phi=0.5):
 
 
 def test_non_numeric_phi_is_a_parse_error_naming_the_voter():
-    with pytest.raises(ParseError, match="voter 0"):
-        parse_profile(_document(_mallows(phi="abc")))
+    for phi in ("abc", "0.5", True):  # float() reads "0.5" and True
+        with pytest.raises(ParseError, match="voter 0: 'phi' must be a JSON number"):
+            parse_profile(_document(_mallows(phi=phi)))
 
 
 def test_non_numeric_pi_entry_is_a_parse_error_naming_the_voter():
-    voter = {"type": "rim", "sigma": ["a", "b", "c"], "pi": [[1.0], ["x", 0.5], [0.2, 0.3, 0.5]]}
-    with pytest.raises(ParseError, match="voter 0"):
-        parse_profile(_document(voter))
+    rows = [[1.0], [0.5, 0.5], [0.2, 0.3, 0.5]]
+    for bad in ("x", "0.5", True):  # float() reads "0.5" and True
+        for kind, pi in (("rim", rows), ("rsm", rows[::-1])):
+            pi = [list(row) for row in pi]
+            pi[1][0] = bad
+            model = {"type": kind, "sigma": ["a", "b", "c"], "pi": pi}
+            combined = {"type": "combined", "model": model,
+                        "observation": {"type": "chain", "chain": ["a"]}}
+            for voter in (model, combined):
+                with pytest.raises(ParseError, match="voter 0: a 'pi' entry must be a JSON number"):
+                    parse_profile(_document(voter))
+    row_as_string = {"type": "rim", "sigma": ["a", "b", "c"], "pi": [[1.0], "11", rows[2]]}
+    with pytest.raises(ParseError, match="voter 0: a 'pi' entry"):
+        parse_profile(_document(row_as_string))
 
 
 def test_candidates_must_be_an_array():
@@ -145,6 +159,23 @@ def test_names_given_as_a_string_are_rejected():
 def test_boolean_weight_is_rejected():
     with pytest.raises(ValidationError, match="voter 0"):
         parse_profile(_document({"type": "chain", "chain": ["a"], "weight": True}))
+
+
+def test_numbers_given_as_strings_or_booleans_are_rejected():
+    # float() reads "0.5" and True == 1, so each of these used to parse
+    doc = {"format": True, "candidates": ["a", "b"],
+           "voters": [{"type": "mallows", "sigma": ["a", "b"], "phi": "0.5"},
+                      {"type": "rim", "sigma": ["a", "b"], "pi": [["1"], ["0.5", "0.5"]]}]}
+    with pytest.raises(ParseError, match="format"):
+        parse_profile(json.dumps(doc))
+    doc["format"] = 1
+    with pytest.raises(ParseError, match="voter 0: 'phi' must be a JSON number"):
+        parse_profile(json.dumps(doc))
+    doc["voters"][0]["phi"] = 0.5
+    with pytest.raises(ParseError, match="voter 1: a 'pi' entry must be a JSON number"):
+        parse_profile(json.dumps(doc))
+    doc["voters"][1]["pi"] = [[1], [0.5, 0.5]]  # JSON integers are numbers
+    assert parse_profile(json.dumps(doc)).voters[1].model.pi == ((1.0,), (0.5, 0.5))
 
 
 def test_ranking_tag_requires_full_coverage():

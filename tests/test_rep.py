@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     random_ranking,
     random_supported_voter,
     random_truncated,
+    solver_caches,
 )
 
 import mewvote.models as models
@@ -23,6 +25,7 @@ from mewvote import (
     PartialChain,
     PartialOrder,
     PartitionedPreference,
+    Profile,
     RimModel,
     RsmRankingModel,
     TooLarge,
@@ -32,6 +35,7 @@ from mewvote import (
     ValidationError,
     Voter,
     ZeroPosterior,
+    candidate_set,
     cover_width,
     generate,
     linear_extensions,
@@ -40,6 +44,7 @@ from mewvote import (
     mallows_to_rim,
     mallows_to_rsm,
     mew,
+    rank_bounds,
     rep_dispatch,
     rep_mallows_partitioned,
     rep_rim,
@@ -52,6 +57,7 @@ from mewvote import (
     rsm_rank_distribution,
     sample,
     uniform_poset_distribution,
+    validate,
     voter_support,
 )
 from mewvote.models import uniform_rim
@@ -689,6 +695,43 @@ def test_dispatch_rejects_selection_model_with_observation():
 
 def test_dispatch_uniform_voter():
     assert np.allclose(rep_dispatch(1, Voter(), 4), [0.25] * 4)
+
+
+@dataclass(frozen=True)
+class _Ratings:  # an observation type no solver knows: hashable, not a tuple
+    scores: tuple[float, ...] = (0.5, 0.2, 0.3)
+
+
+_MALLOWS3 = MallowsModel((0, 1, 2), 0.5)
+_UNKNOWN_OBSERVATION_PATHS = {
+    "rep_dispatch-uniform": lambda obs: rep_dispatch(0, Voter(None, obs), 3),
+    "rep_dispatch-mallows": lambda obs: rep_dispatch(0, Voter(_MALLOWS3, obs), 3),
+    "rep_dispatch-rim": lambda obs: rep_dispatch(0, Voter(mallows_to_rim(_MALLOWS3), obs), 3),
+    "rank_bounds": lambda obs: rank_bounds(0, obs, 3),
+    "validate": lambda obs: validate(obs, 3),
+    "voter_support-uniform": lambda obs: voter_support(Voter(None, obs), 3),
+    "voter_support-mallows": lambda obs: voter_support(Voter(_MALLOWS3, obs), 3),
+    "Profile": lambda obs: Profile(candidate_set("a", "b", "c"), [Voter(None, obs)]),
+}
+
+
+@pytest.mark.parametrize("path", list(_UNKNOWN_OBSERVATION_PATHS))
+def test_unknown_observation_type_is_unsupported_on_every_path(path):
+    with pytest.raises(Unsupported, match="unknown observation type _Ratings"):
+        _UNKNOWN_OBSERVATION_PATHS[path](_Ratings())
+
+
+def test_clear_caches_empties_every_solver_preference_and_model_cache():
+    rule = make_rule("borda", 6)
+    for kind in ("poset", "mallows_po", "mallows_tr", "rsm", "chain"):
+        prof = generate(GenSpec(kind=kind, m=6, n=8, k=3, t=2, b=1, seed=4))
+        mew(prof, rule)
+        voter_support(prof.voters[0], 6)
+    caches = solver_caches()
+    assert len(caches) >= 9  # rep's tables, the observation views, the model rows
+    assert all(cache.cache_info().currsize > 0 for cache in caches)
+    rep.clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
 
 
 # --- module-level invariants -------------------------------------------------
