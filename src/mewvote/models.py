@@ -14,8 +14,9 @@ matrix is ``phi**(j-1) / (1 + phi + ... + phi**(m-i))``.  Normalizers are
 accumulated by explicit summation so that phi = 1 (the uniform distribution)
 is exact.
 
-A ``MallowsModel`` carries its insertion rows as ``pi``, built once per
-(phi, m) and shared by every model with those values, so it is passed
+A ``MallowsModel`` reads its insertion rows as ``pi`` from one cache per
+(phi, m), shared by every model with those values and emptied by
+``rep.clear_caches``; the model keeps no copy.  So it is passed
 unconverted to every reader of an insertion model (``rim_probability``,
 ``sample`` and the insertion DPs in ``rep``).  ``mallows_to_rim`` gives the
 same rows as a plain ``RimModel``.
@@ -24,7 +25,7 @@ same rows as a plain ``RimModel``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,10 +93,11 @@ class MallowsModel:
     def m(self) -> int:
         return len(self.sigma)
 
-    @cached_property
+    @property
     def pi(self) -> tuple[tuple[float, ...], ...]:
-        """Insertion rows, cached per (phi, m); not a field, so equality,
-        hashing and repr read sigma and phi only."""
+        """Insertion rows, read from the cache per (phi, m) and never kept on
+        the model; not a field, so equality, hashing and repr read sigma and
+        phi only."""
         return _insertion_rows(self.phi, self.m)
 
 
@@ -160,9 +162,9 @@ def rim_insertion_positions(r: Ranking, sigma: Ranking) -> list[int]:
 
 def rim_probability(r: Ranking, model: RimModel | MallowsModel) -> float:
     """Probability that the insertion process generates ``r``."""
-    p = 1.0
+    pi, p = model.pi, 1.0
     for i, j in enumerate(rim_insertion_positions(r, model.sigma), start=1):
-        p *= model.pi[i - 1][j - 1]
+        p *= pi[i - 1][j - 1]
     return p
 
 
@@ -193,8 +195,9 @@ def sample(model, rng) -> Ranking:
     gen = _as_rng(rng)
     if isinstance(model, (MallowsModel, RimModel)):
         out: list[int] = []
+        pi = model.pi
         for i, c in enumerate(model.sigma, start=1):
-            j = gen.choice(i, p=model.pi[i - 1]) + 1
+            j = gen.choice(i, p=pi[i - 1]) + 1
             out.insert(j - 1, c)
         return tuple(out)
     if isinstance(model, RsmRankingModel):

@@ -171,6 +171,13 @@ class TruncatedRanking:
 Observation = PartialOrder | PartitionedPreference | PartialChain | TruncatedRanking
 
 
+def check_observation(obs) -> None:
+    """Reject an observation of no known type before a cache is keyed on it:
+    an unhashable one (a list, say) would raise a bare TypeError there."""
+    if obs is not None and not isinstance(obs, Observation):
+        raise Unsupported(f"unknown observation type {type(obs).__name__}")
+
+
 def check_candidate(c: int, m: int) -> None:
     """Reject a candidate index outside 0..m-1."""
     if not 0 <= c < m:
@@ -376,7 +383,11 @@ def rank_bounds(c: int, structure, m: int) -> tuple[int, int]:
     if isinstance(structure, PartialOrder):
         check_candidate(c, m)
         return _poset_rank_bounds(structure, m)[c]
-    window = bucket_window(c, structure, m)
+    try:
+        window = bucket_window(c, structure, m)
+    except TypeError:  # an unhashable structure cannot key the layout cache
+        check_observation(structure)
+        raise
     if window is None:
         return 1, m
     k, before, size = window

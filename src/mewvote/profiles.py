@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .models import MallowsModel, RimModel, RsmRankingModel, validate_reference
-from .preferences import CandidateSet, Observation, PartialOrder, validate
+from .preferences import CandidateSet, Observation, PartialOrder, check_observation, validate
 
 
 @dataclass(frozen=True)
@@ -15,7 +15,8 @@ class Voter:
     """One voter: a generation-step model, an optional observation, a multiplicity.
 
     ``model`` is None for the uniform generation step.  A complete ranking is
-    represented as a full-length partial chain observation.
+    represented as a full-length partial chain observation; an observation of
+    no known type raises Unsupported.
     """
 
     model: MallowsModel | RimModel | RsmRankingModel | None = None
@@ -23,6 +24,7 @@ class Voter:
     weight: int = 1
 
     def __post_init__(self):
+        check_observation(self.observation)  # every solver path keys a cache on it
         if isinstance(self.observation, PartialOrder) and not self.observation.pairs:
             object.__setattr__(self, "observation", None)  # canonical "no information"
         if self.weight < 1:

@@ -13,23 +13,26 @@ model plus optional observation) to the cheapest applicable solver:
     by ``IDEAL_BUDGET`` ideals, and spread over the m ranks by a
     hypergeometric interleave;
   - one windowed insertion-position dynamic program, ``rep_rim``, for
-    insertion models (and Mallows, via its insertion-model form: a
-    ``MallowsModel`` carries its insertion rows, so every insertion solver
-    takes it as it is) with no observation or with one whose bucket layout
-    places all m candidates (a fully partitioned preference, a truncated
-    ranking or a complete chain): each step restricts the incoming item to
-    its bucket's window;
+    insertion models (``RimModel``) with no observation or with one whose
+    bucket layout places all m candidates (a fully partitioned preference, a
+    truncated ranking or a complete chain): each step restricts the incoming
+    item to its bucket's window;
+  - for Mallows in those two cases, one route, ``rep_mallows_partitioned``:
+    each bucket (all m candidates without an observation) is arranged by a
+    Mallows model with the same phi, so the target's rank row depends only
+    on phi, its bucket's size and its index among the bucket's items in
+    reference order.  That row, ``_mallows_rank_row``, is solved once by
+    ``rep_rim`` and shared by every voter and candidate;
   - a selection dynamic program for ranking selection models;
-  - for Mallows given such a full layout, the cheaper plain insertion DP
-    restricted to the target's bucket;
   - for insertion models given any other observation, a tracked-item
     insertion DP over the observation's ancestor masks, whose cost is
-    exponential in the observation's cover width.
+    exponential in the observation's cover width.  A ``MallowsModel`` reads
+    its insertion rows as ``pi``, so every insertion solver takes it as it is.
 
 Conditioning on evidence with zero probability raises ZeroPosterior: the
 posterior is undefined there, and returning a default would poison expected
-scores silently; an observation of no known type raises Unsupported where
-its bucket layout is built.  ``Voter`` comes from ``profiles``.
+scores silently; an observation of no known type raises Unsupported when a
+``Voter`` (from ``profiles``) is built on it, or in ``rank_bounds``.
 ``clear_caches`` empties the process-wide caches, so a timed solve starts cold.
 """
 
@@ -296,27 +299,46 @@ def rep_rim_poset(c: int, model: RimModel | MallowsModel, obs: Observation,
 
 
 # ---------------------------------------------------------------------------
-# Mallows conditioned on ordered buckets over all m candidates
+# Mallows with no observation or ordered buckets over all m candidates
 
 
-def rep_mallows_partitioned(c: int, model: MallowsModel, fp: Observation,
+@lru_cache(maxsize=4096)
+def _mallows_rank_row(phi: float, k: int, i: int) -> np.ndarray:
+    """Rank distribution of the (i+1)-th reference item under a Mallows model
+    over k items: ``rep_rim`` on the rows ``models._insertion_rows(phi, k)``.
+
+    Read-only: the cache hands the same array to every voter and candidate.
+    """
+    row = rep_rim(i, MallowsModel(range(k), phi))
+    row.setflags(write=False)
+    return row
+
+
+def rep_mallows_partitioned(c: int, model: MallowsModel, fp: Observation | None,
                             m: int | None = None) -> RankDistribution:
-    """Restrict the model to the target's bucket and solve locally; ``fp`` is
-    any observation whose ``bucket_layout`` places all m candidates.
+    """Read the target's rank within its bucket from the shared Mallows row;
+    ``fp`` is None (one bucket of all m) or any observation whose
+    ``bucket_layout`` places all m candidates.
 
     Cross-bucket pair disagreements are fixed by the bucket order and the
     arrangement of each bucket is independent, so the target's rank within
-    its bucket follows a Mallows over the bucket with the same dispersion.
+    its bucket follows a Mallows over the bucket with the same dispersion:
+    it depends on phi, the bucket's size and the target's index among the
+    bucket's items in reference order, not on their labels.
     """
-    m = len(model.sigma) if m is None else m
-    window = bucket_window(c, fp, m)
-    if window is None or window[0] != m:
+    sigma = model.sigma
+    m = len(sigma) if m is None else m
+    window = bucket_window(c, fp, m)  # checks c; None without an observation
+    if fp is None:  # one bucket of all m
+        before, size, i = 0, m, sigma.index(c)
+    elif window is None or window[0] != m:
         raise ValidationError("preference is not fully partitioned")
-    _, before, size = window
-    layout = bucket_layout(fp, m)
-    sub_sigma = tuple(x for x in model.sigma if layout[x] == window)
+    else:
+        _, before, size = window
+        layout = bucket_layout(fp, m)
+        i = sum(1 for x in sigma[:sigma.index(c)] if layout[x] == window)
     probs = np.zeros(m)
-    probs[before:before + size] = rep_rim(c, MallowsModel(sub_sigma, model.phi))
+    probs[before:before + size] = _mallows_rank_row(model.phi, size, i)
     return probs
 
 
@@ -412,11 +434,9 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
             raise Unsupported("no exact solver for a selection model with an observation")
         return rsm_rank_distribution(c, model)
 
-    if obs is None:  # insertion models, Mallows included
-        return rep_rim(c, model)
-    if isinstance(obs, PartialOrder) or None in bucket_layout(obs, m):
+    if obs is not None and (isinstance(obs, PartialOrder) or None in bucket_layout(obs, m)):
         return rep_rim_poset(c, model, obs)
-    if isinstance(model, MallowsModel):  # the cheaper restriction to the target's bucket
+    if isinstance(model, MallowsModel):  # the shared row of the target's bucket
         return rep_mallows_partitioned(c, model, obs, m)
     return rep_rim(c, model, obs)
 

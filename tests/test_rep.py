@@ -664,6 +664,75 @@ def test_mallows_partition_matches_oracle():
                            oracle_rank_distribution(voter, c, 5), atol=1e-9)
 
 
+def _per_call_mallows_row(c, model, obs, m):
+    """A fresh Mallows over the target's bucket (all m without an observation),
+    solved by ``rep_rim`` and placed in the bucket's window."""
+    if obs is None:
+        return rep_rim(c, model)
+    layout = bucket_layout(obs, m)
+    _, before, size = layout[c]
+    sub_sigma = tuple(x for x in model.sigma if layout[x] == layout[c])
+    probs = np.zeros(m)
+    probs[before:before + size] = rep_rim(c, MallowsModel(sub_sigma, model.phi))
+    return probs
+
+
+def _mallows_full_layout_voters(rng, ms):
+    for m in ms:
+        for phi in (0.3, 0.7, 1.0):
+            for obs_kind in (None, "fp", "truncated", "ranking"):
+                for _ in range(2):
+                    obs = obs_kind and random_observation(rng, m, obs_kind)
+                    yield m, Voter(MallowsModel(random_ranking(rng, m), phi), obs)
+
+
+def test_mallows_shared_rows_equal_the_per_call_bucket_dp():
+    rep.clear_caches()
+    for m, voter in _mallows_full_layout_voters(np.random.default_rng(71), range(2, 9)):
+        for c in range(m):
+            want = _per_call_mallows_row(c, voter.model, voter.observation, m)
+            assert np.array_equal(rep_dispatch(c, voter, m), want), (voter, c)
+    assert rep._mallows_rank_row.cache_info().hits > 0
+
+
+def test_mallows_shared_rows_match_oracle():
+    for m, voter in _mallows_full_layout_voters(np.random.default_rng(72), range(2, 7)):
+        for c in range(m):
+            assert np.allclose(rep_dispatch(c, voter, m), oracle_rank_distribution(voter, c, m),
+                               rtol=0, atol=1e-12), (voter, c)
+
+
+def test_mallows_rows_are_shared_across_voters_and_candidates():
+    # one row per (phi, bucket size, index in the bucket), whatever the labels
+    m = 20
+    prof = generate(GenSpec(kind="mallows_tr", m=m, n=100, t=3, b=2, seed=5))
+    keys = set()
+    for voter in prof.voters:
+        layout = bucket_layout(voter.observation, m)
+        for c in range(m):
+            before_c = voter.model.sigma[:voter.model.sigma.index(c)]
+            index = sum(1 for x in before_c if layout[x] == layout[c])
+            keys.add((voter.model.phi, layout[c][2], index))
+    rep.clear_caches()
+    mew(prof, make_rule("borda", m))
+    info = rep._mallows_rank_row.cache_info()
+    assert info.misses == info.currsize == len(keys) == 16
+    assert info.hits > 0
+    with pytest.raises(ValueError, match="read-only"):
+        rep._mallows_rank_row(0.5, m - 5, 0)[0] = 1.0  # one array serves every reader
+
+
+def test_clear_caches_leaves_no_mallows_rows_on_the_model():
+    model = MallowsModel((2, 0, 1, 3), 0.4)
+    for obs in (None, PartialOrder([(2, 3)])):  # the shared row; the tracked-item DP
+        voter = Voter(model, obs)
+        rep_dispatch(0, voter, 4)
+        rep.clear_caches()
+        assert "pi" not in vars(model)
+        rep_dispatch(0, voter, 4)
+        assert models._insertion_rows.cache_info().misses == 1
+
+
 # --- dispatch ---------------------------------------------------------------
 
 def test_dispatch_routes_to_closed_forms():
@@ -702,6 +771,9 @@ class _Ratings:  # an observation type no solver knows: hashable, not a tuple
     scores: tuple[float, ...] = (0.5, 0.2, 0.3)
 
 
+_UNKNOWN_OBSERVATIONS = (_Ratings(), [0, 1])  # a list cannot even key a cache
+
+
 _MALLOWS3 = MallowsModel((0, 1, 2), 0.5)
 _UNKNOWN_OBSERVATION_PATHS = {
     "rep_dispatch-uniform": lambda obs: rep_dispatch(0, Voter(None, obs), 3),
@@ -717,8 +789,9 @@ _UNKNOWN_OBSERVATION_PATHS = {
 
 @pytest.mark.parametrize("path", list(_UNKNOWN_OBSERVATION_PATHS))
 def test_unknown_observation_type_is_unsupported_on_every_path(path):
-    with pytest.raises(Unsupported, match="unknown observation type _Ratings"):
-        _UNKNOWN_OBSERVATION_PATHS[path](_Ratings())
+    for obs in _UNKNOWN_OBSERVATIONS:
+        with pytest.raises(Unsupported, match=f"unknown observation type {type(obs).__name__}"):
+            _UNKNOWN_OBSERVATION_PATHS[path](obs)
 
 
 def test_clear_caches_empties_every_solver_preference_and_model_cache():
