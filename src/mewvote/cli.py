@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-pruning", action="store_true")
     p.add_argument("--no-grouping", action="store_true")
     p.add_argument("--parallel", type=int, metavar="W", default=0,
-                   help="worker processes (disables pruning)")
+                   help="worker processes, this one included (disables pruning; 0 = sequential)")
     p.add_argument("--output", choices=("table", "json"), default="table")
 
     p = sub.add_parser("mpw", help="most probable winner")
@@ -79,7 +79,7 @@ def _print_scores(title: str, values: dict[str, float]) -> None:
 def _cmd_mew(args) -> int:
     profile = load_profile(args.profile)
     rule = parse_rule(args.rule, profile.m)
-    if args.parallel > 0:
+    if args.parallel:  # a negative count reaches mew_parallel, which refuses it
         result = mew_parallel(profile, rule, workers=args.parallel)
     else:
         result = mew(profile, rule, pruning=not args.no_pruning,

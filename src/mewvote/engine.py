@@ -6,10 +6,10 @@ exact expected score to every candidate still alive.  With pruning on,
 per-candidate score bounds are first seeded from best/worst attainable ranks;
 each group's exact contribution then replaces its bound contribution, and
 candidates whose upper bound falls below the best lower bound are dropped.
-Pruning and grouping never change the winner set.  The parallel mode computes
-the groups' score vectors across worker processes and runs the same loop with
-pruning off, so its output is bit-identical for any worker count and equals
-``mew(pruning=False)``.
+Pruning and grouping never change the winner set.  The parallel mode solves
+one share of the scores in the caller and the others in forked children, then
+runs the same loop with pruning off, so its output is bit-identical for any
+worker count and equals ``mew(pruning=False)``.
 
 The engine solves through ``rep`` alone; the possible-worlds oracle that
 checks it (and owns the expected regret) is never imported here.
@@ -17,15 +17,15 @@ checks it (and owns the expected regret) is never imported here.
 
 from __future__ import annotations
 
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidRule
+from .errors import InvalidRule, MewError
 from .preferences import rank_bounds
 from .profiles import Profile, Voter
 from .rep import rep_dispatch
@@ -167,32 +167,65 @@ def mew(profile: Profile, rule: ScoringRule, *,
 # Deterministic parallel mode (pruning off)
 
 
-def _score_chunk(chunk: list[tuple[int, Voter]],
-                 rule: ScoringRule) -> list[tuple[int, list[float]]]:
-    return [(gi, [expected_score(c, voter, rule) for c in range(rule.m)])
-            for gi, voter in chunk]
+def _run_shares(fn: Callable, shares: list) -> list:
+    """``[fn(share) for share in shares]``, share 0 here and each other in a forked child."""
+    def child(send, share):  # sends (True, fn(share)) or (False, exception)
+        try:
+            send.send((True, fn(share)))
+        except Exception as exc:  # re-raised in the caller with its own type
+            send.send((False, exc))
+
+    ctx = get_context("fork")  # nothing is pickled on the way in
+    sys.stdout.flush()  # or a child would write out the caller's buffers again
+    sys.stderr.flush()
+    children, done = [], False
+    try:
+        for share in shares[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=child, args=(send, share))
+            proc.start()
+            children.append((proc, recv))
+            send.close()
+        results = [fn(shares[0])]
+        for proc, recv in children:
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise MewError(f"worker exited with code {proc.exitcode} before sending") from None
+            if not ok:
+                raise value
+            results.append(value)
+        done = True
+        return results
+    finally:  # every child is joined, and first terminated if the caller is unwinding
+        for proc, recv in children:
+            if not done:
+                proc.terminate()
+            recv.close()
+            proc.join()
 
 
 def mew_parallel(profile: Profile, rule: ScoringRule, workers: int = 1) -> MewResult:
-    """Winner determination with voter groups split across worker processes.
+    """Winner determination with the scoring work split across processes.
 
-    Each group's score vector is computed in a worker, then the engine loop
-    runs with pruning off, so the result is bit-identical for any worker count
-    and equals ``mew(pruning=False)``.
+    Each group's candidates are cut into ``ceil(workers / groups)`` slices, and
+    the (group, slice) units are dealt round-robin into ``min(workers, units)``
+    shares.  This process solves share 0 while each other share runs in a forked
+    child; the engine loop then runs with pruning off, so the result is
+    bit-identical for any worker count and equals ``mew(pruning=False)``.
     """
     t0 = time.perf_counter()
     check_rule_size(rule, profile.m)
     if workers < 1:
         raise InvalidRule(f"workers must be >= 1, got {workers}")
     groups = _grouped(profile, grouping=True)
-    indexed = list(enumerate(v for v, _ in groups))
-    chunks = [indexed[i::workers] for i in range(min(workers, len(indexed)))]
-    if len(chunks) < 2:  # a pool would run everything on one worker anyway
-        vectors = dict(_score_chunk(indexed, rule))
-    else:
-        ctx = get_context("fork")
-        with ProcessPoolExecutor(max_workers=len(chunks), mp_context=ctx) as ex:
-            parts = ex.map(_score_chunk, chunks, [rule] * len(chunks))
-            vectors = {gi: vec for part in parts for gi, vec in part}
-    return _solve(profile, rule, groups, lambda gi, cands: [vectors[gi][c] for c in cands],
+    k = min(rule.m, -(-workers // len(groups)))  # candidate slices per group
+    units = [(gi, range(j, rule.m, k)) for gi in range(len(groups)) for j in range(k)]
+    shares = [[(gi, c) for gi, cands in units[i::workers] for c in cands]
+              for i in range(min(workers, len(units)))]
+    parts = _run_shares(lambda share: [expected_score(c, groups[gi][0], rule)
+                                       for gi, c in share], shares)
+    scores = {pair: s for share, part in zip(shares, parts) for pair, s in zip(share, part)}
+    return _solve(profile, rule, groups, lambda gi, cands: [scores[gi, c] for c in cands],
                   pruning=False, t0=t0, workers=workers)

@@ -161,3 +161,14 @@ def random_supported_profile(rng, m_range=(3, 6), n_range=(1, 5), world_budget=2
         voters.append(v)
     cands = candidate_set(*(f"c{i}" for i in range(1, m + 1)))
     return Profile(cands, voters)
+
+
+def wide_second_group_profile():
+    """A uniform voter of weight 2, then a Mallows voter whose poset has cover
+    width 7, past the tracked-item DP's cap, so solving it raises
+    CoverWidthExceeded.  ``mew_parallel(workers=2)`` deals that second group to
+    its forked child."""
+    m = 9
+    wide = PartialOrder([(i, m - 1) for i in range(7)])
+    return Profile(candidate_set(*"abcdefghi"),
+                   [Voter(None, None, weight=2), Voter(MallowsModel(tuple(range(m)), 0.5), wide)])

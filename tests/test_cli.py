@@ -1,10 +1,10 @@
 import json
 
 import pytest
-from conftest import solver_caches
+from conftest import solver_caches, wide_second_group_profile
 
 import mewvote.bench as bench
-from mewvote import ParseError
+from mewvote import ParseError, save_profile
 from mewvote.cli import main
 from mewvote.rep import _uniform_poset_table
 
@@ -71,6 +71,22 @@ def test_parallel_flag(capsys, data_dir):
                            "--rule", "plurality", "--parallel", "2")
     assert code == 0
     assert "winners: b" in out
+
+
+def test_negative_parallel_count_is_an_input_error(capsys, data_dir):
+    code, out, err = run_cli(capsys, "mew", "--profile", str(data_dir / "fig1.profile"),
+                             "--rule", "plurality", "--parallel", "-3")
+    assert code == 1 and out == ""
+    assert "workers must be >= 1, got -3" in err
+
+
+def test_parallel_child_resource_cap_exit_code(capsys, tmp_path):
+    path = tmp_path / "wide.profile"
+    save_profile(wide_second_group_profile(), path)
+    code, _, err = run_cli(capsys, "mew", "--profile", str(path), "--rule", "borda",
+                           "--parallel", "2")
+    assert code == 2
+    assert "cover width 7" in err
 
 
 def test_custom_rule_and_k_approval(capsys, data_dir):

@@ -1,9 +1,16 @@
+import importlib
+import multiprocessing
+import os
+from collections import defaultdict
+
 import numpy as np
 import pytest
-from conftest import random_supported_profile
+from conftest import random_supported_profile, wide_second_group_profile
 
 from mewvote import (
+    CoverWidthExceeded,
     MallowsModel,
+    MewError,
     PartialChain,
     PartialOrder,
     Profile,
@@ -249,7 +256,7 @@ def test_pruned_result_splits_candidates_into_scores_and_bounds():
 def test_parallel_is_bit_identical_across_worker_counts():
     rng = np.random.default_rng(28)
     prof = random_supported_profile(rng, m_range=(4, 6), n_range=(5, 5), world_budget=2000)
-    # identical voters form one group, which runs without a pool at any worker count
+    # identical voters form one group, whose candidates are split across the workers
     single_group = Profile(candidate_set("a", "b", "c", "d", "e"),
                            [Voter(MallowsModel((2, 0, 4, 1, 3), 0.4), None)] * 3)
     for profile in (prof, single_group):
@@ -261,6 +268,66 @@ def test_parallel_is_bit_identical_across_worker_counts():
             assert res.bounds == {} and res.pruned == ()
             for name in seq.expected_scores:
                 assert res.expected_scores[name] == seq.expected_scores[name]
+
+
+def _three_groups():
+    return Profile(candidate_set("a", "b", "c", "d"),
+                   [Voter(None, PartialChain((0, 1))), Voter(None, PartialOrder([(2, 3)])),
+                    Voter(MallowsModel((3, 1, 0, 2), 0.6), PartialChain((1, 2)))])
+
+
+def test_parallel_reraises_a_child_error_and_leaves_no_process():
+    prof = wide_second_group_profile()
+    with pytest.raises(CoverWidthExceeded) as raised:
+        mew_parallel(prof, make_rule("borda", prof.m), workers=2)
+    assert raised.traceback[-1].name == "_run_shares"  # sent back by the child, not solved here
+    assert multiprocessing.active_children() == []
+    prof = _three_groups()
+    rule = make_rule("borda", prof.m)
+    assert mew_parallel(prof, rule, workers=8).expected_scores \
+        == mew(prof, rule, pruning=False).expected_scores
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_names_the_exit_code_of_a_child_that_dies(monkeypatch):
+    engine = importlib.import_module("mewvote.engine")
+    caller, solve = os.getpid(), engine.expected_score
+
+    def die_in_a_child(c, voter, rule):
+        if os.getpid() != caller:
+            os._exit(3)
+        return solve(c, voter, rule)
+
+    monkeypatch.setattr(engine, "expected_score", die_in_a_child)
+    prof = _three_groups()
+    with pytest.raises(MewError, match="code 3"):
+        mew_parallel(prof, make_rule("plurality", prof.m), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_splits_a_single_group_across_both_shares(monkeypatch, tmp_path):
+    engine = importlib.import_module("mewvote.engine")
+    prof = Profile(candidate_set("a", "b", "c", "d", "e"),
+                   [Voter(MallowsModel((2, 0, 4, 1, 3), 0.4), PartialOrder([(1, 3)]))] * 4)
+    rule = make_rule("borda", prof.m)
+    seq = mew(prof, rule, pruning=False)
+    log, solve = tmp_path / "calls", engine.expected_score
+
+    def logged(c, voter, rule):
+        with open(log, "a") as fh:  # one short appended line per call, from either process
+            fh.write(f"{os.getpid()} {c}\n")
+        return solve(c, voter, rule)
+
+    monkeypatch.setattr(engine, "expected_score", logged)
+    res = mew_parallel(prof, rule, workers=2)
+    by_process = defaultdict(list)
+    for line in log.read_text().splitlines():
+        pid, c = line.split()
+        by_process[int(pid)].append(int(c))
+    assert len(by_process) == 2 and os.getpid() in by_process
+    assert sorted(c for cands in by_process.values() for c in cands) == list(range(prof.m))
+    assert res.winners == seq.winners and res.expected_scores == seq.expected_scores
+    assert res.bounds == {} and res.pruned == ()
 
 
 def test_parallel_winners_match_pruned_sequential():
