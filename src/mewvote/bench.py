@@ -7,10 +7,11 @@ import io
 import json
 import statistics
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 from .engine import mew, mew_parallel
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .generators import GenSpec, cover_width_profile, generate
 from .mpw import mpw
 from .profiles import Profile
@@ -66,6 +67,8 @@ def time_run(run: BenchRun, profile: Profile) -> float:
 
 
 def run_bench(runs: list[BenchRun], repeat: int = 3) -> list[dict]:
+    if repeat < 1:
+        raise ValidationError(f"repeat must be >= 1, got {repeat}")
     rows = []
     for run in runs:
         profile = build_profile(run)
@@ -90,16 +93,32 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _check_types(i: int, entry: dict) -> None:
+    """Each given field's value has its ``BenchRun`` type: a bool is not an
+    int, and an int is fine for a float."""
+    hints = typing.get_type_hints(BenchRun)
+    for name in entry.keys() & {f.name for f in fields(BenchRun)}:
+        allowed = typing.get_args(hints[name]) or (hints[name],)  # ``int | None`` unpacks
+        value = entry[name]
+        if float in allowed:
+            allowed += (int,)
+        if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise ParseError(f"run {i}: field {name!r} must be {names}, got {value!r}")
+
+
 def parse_bench_spec(text: str) -> list[BenchRun]:
     """A JSON array of ``BenchRun`` fields, or an object holding one as ``runs``;
-    a missing ``runs``, an entry that is not an object, or an unknown field
-    raises ParseError naming the entry."""
+    a missing ``runs``, an entry that is not an object, an unknown field or a
+    value of the wrong type raises ParseError naming the entry."""
     doc = json.loads(text)
     runs = doc.get("runs") if isinstance(doc, dict) else doc
     if not isinstance(runs, list):
         raise ParseError("a bench spec is a JSON array of runs or an object with a 'runs' array")
     parsed = []
     for i, entry in enumerate(runs):
+        if isinstance(entry, dict):
+            _check_types(i, entry)
         try:
             parsed.append(BenchRun(**entry))
         except TypeError as exc:

@@ -2,10 +2,13 @@
 
 One loop computes every result: identical voters are grouped into
 ``(voter, total weight)`` pairs, and each group in turn adds its weighted
-exact expected score to every candidate still alive.  With pruning on,
-per-candidate score bounds are first seeded from best/worst attainable ranks;
-each group's exact contribution then replaces its bound contribution, and
-candidates whose upper bound falls below the best lower bound are dropped.
+exact expected score to every candidate still alive.  With pruning on, the
+groups ``rep.closed_form`` names, whose score is one cached row read, are added
+first for every candidate; per-candidate score bounds from best/worst
+attainable ranks are seeded for the other groups only.  Once the closed-form
+groups are all in, each group's exact contribution replaces its bound
+contribution, and candidates whose upper bound falls below the best lower
+bound are dropped.
 Pruning and grouping never change the winner set.  The parallel mode solves
 one share of the scores in the caller and the others in forked children, then
 runs the same loop with pruning off, so its output is bit-identical for any
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import InvalidRule, MewError
 from .preferences import rank_bounds
 from .profiles import Profile, Voter
-from .rep import rep_dispatch
+from .rep import closed_form, rep_dispatch
 from .rules import ScoringRule, check_rule_size
 
 WINNER_REL_TOL = 1e-9
@@ -80,11 +83,14 @@ def _winner_ids(profile: Profile, scores: dict[int, float]) -> tuple[str, ...]:
 
 def _seed_bounds(groups: list[tuple[Voter, int]],
                  rule: ScoringRule) -> tuple[np.ndarray, np.ndarray]:
-    """Per-(group, candidate) scores at the best and the worst attainable rank."""
+    """Per-(group, candidate) scores at the best and the worst attainable rank;
+    0 for a closed-form group, which is solved before any bound is used."""
     m = rule.m
-    best = np.empty((len(groups), m))
-    worst = np.empty((len(groups), m))
+    best = np.zeros((len(groups), m))
+    worst = np.zeros((len(groups), m))
     for gi, (voter, _) in enumerate(groups):
+        if closed_form(voter):
+            continue
         for c in range(m):
             b, w = rank_bounds(c, voter.observation, m)
             best[gi, c] = rule.scores[b - 1]
@@ -107,16 +113,21 @@ def _solve(profile: Profile, rule: ScoringRule, groups: list[tuple[Voter, int]],
     alive = set(range(m))
     exact = [0.0] * m
     groups_done = [0] * m
-    if pruning:
+    order = list(range(len(groups)))
+    if pruning:  # closed-form groups first: their score costs no more than a bound
+        order.sort(key=lambda gi: not closed_form(groups[gi][0]))
+        first = sum(closed_form(v) for v, _ in groups)
         best, worst = _seed_bounds(groups, rule)
         weights = np.array([w for _, w in groups], dtype=float)
         ub = [float(v) for v in weights @ best]
         lb = [float(v) for v in weights @ worst]
-        alive = _survivors(alive, ub, lb)
+        if not first:
+            alive = _survivors(alive, ub, lb)
 
-    for gi, (_, weight) in enumerate(groups):
+    for done, gi in enumerate(order, 1):
         if len(alive) == 1:  # only pruning gets here, since m >= 2
             break
+        weight = groups[gi][1]
         cands = sorted(alive)
         for c, e in zip(cands, group_scores(gi, cands)):
             exact[c] += weight * e
@@ -124,7 +135,7 @@ def _solve(profile: Profile, rule: ScoringRule, groups: list[tuple[Voter, int]],
             if pruning:
                 ub[c] += weight * (e - best[gi, c])
                 lb[c] += weight * (e - worst[gi, c])
-        if pruning:
+        if pruning and done >= first:  # a bound holds once those groups are all in
             alive = _survivors(alive, ub, lb)
 
     # a score is fully determined once all groups contributed exactly, or once

@@ -31,7 +31,7 @@ class MpwResult:
     worlds_explored: int
     seconds: float = 0.0
 
-STATE_CAP = 10_000_000
+STATE_CAP = 1_000_000  # score-vector states; small Borda profiles reach it at ~250 MB
 WIN_PROB_TOL = 1e-12
 
 

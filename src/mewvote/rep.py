@@ -6,8 +6,9 @@ model plus optional observation) to the cheapest applicable solver:
 
   - ``rep_uniform`` for the uniform model with no observation or with ordered
     buckets over some of the candidates (partitioned preferences, partial
-    chains, truncated rankings): one closed form, read from the target's
-    bucket window in ``preferences.bucket_layout``;
+    chains, truncated rankings), the voters ``closed_form`` names: one closed
+    form, ``_uniform_row``, built once per bucket window of
+    ``preferences.bucket_layout`` and m, and shared by every voter and candidate;
   - for uniform posets at any m, a table built per connected component of
     the poset by one counting DP over the component's order ideals, bounded
     by ``IDEAL_BUDGET`` ideals, and spread over the m ranks by a
@@ -101,6 +102,19 @@ def _interleave(k: int, m: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=4096)
+def _uniform_row(window: tuple[int, int, int] | None, m: int) -> np.ndarray:
+    """``rep_uniform``'s row for a bucket window ``(k, before, size)``; read-only,
+    as the cache hands the same array to every voter and candidate."""
+    if window is None:
+        row = np.full(m, 1.0 / m)
+    else:
+        k, before, size = window
+        row = _interleave(k, m)[before:before + size].sum(axis=0) / size  # the mean
+    row.setflags(write=False)
+    return row
+
+
 def rep_uniform(c: int, obs: Observation | None, m: int) -> RankDistribution:
     """Uniform model given ordered buckets over k items (see ``bucket_window``).
 
@@ -111,12 +125,12 @@ def rep_uniform(c: int, obs: Observation | None, m: int) -> RankDistribution:
     those slots.  With k = m the interleave is the identity, giving 1/size on
     the bucket's rank window.
     """
-    window = bucket_window(c, obs, m)
-    if window is None:
-        return np.full(m, 1.0 / m)
-    k, before, size = window
-    rows = _interleave(k, m)[before:before + size]
-    return rows[0].copy() if size == 1 else rows.sum(axis=0) / size  # mean, cheaper than .mean()
+    return _uniform_row(bucket_window(c, obs, m), m).copy()
+
+
+def closed_form(voter: Voter) -> bool:
+    """Whether ``rep_dispatch`` routes ``voter`` to ``rep_uniform``."""
+    return voter.model is None and not isinstance(voter.observation, PartialOrder)
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +436,10 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
     check_candidate(c, m)
     model, obs = voter.model, voter.observation
 
-    if model is None:
-        if isinstance(obs, PartialOrder):
-            return uniform_poset_distribution(c, obs, m)
+    if closed_form(voter):
         return rep_uniform(c, obs, m)
+    if model is None:
+        return uniform_poset_distribution(c, obs, m)
 
     _check_model(model, m)
 

@@ -164,6 +164,31 @@ def test_malformed_bench_spec_exit_code(capsys, tmp_path):
         bench.parse_bench_spec(spec_file.read_text())
 
 
+def test_bench_spec_fields_are_checked_against_their_types(capsys, tmp_path):
+    spec_file = tmp_path / "bench.json"
+    bad = [({"pruning": "no"}, "'pruning' must be bool"), ({"m": "4"}, "'m' must be int"),
+           ({"n": True}, "'n' must be int"), ({"k": 2.5}, "'k' must be int or null"),
+           ({"phi": "0.5"}, "'phi' must be float or int"), ({"kind": 3}, "'kind' must be str")]
+    for fields, message in bad:
+        spec_file.write_text(json.dumps([{"kind": "chain", "k": 2}, {"kind": "chain", **fields}]))
+        code, out, err = run_cli(capsys, "bench", "--spec", str(spec_file), "--out", "-")
+        assert (code, out) == (1, ""), fields
+        assert err.startswith(f"error: run 1: field {message}, got "), err
+    # an int is fine for a float, and null for an optional int
+    runs = bench.parse_bench_spec(json.dumps([{"kind": "chain", "phi": 1, "k": None}]))
+    assert runs == [bench.BenchRun(kind="chain", phi=1, k=None)]
+
+
+def test_bench_refuses_fewer_than_one_repeat(capsys, tmp_path):
+    spec_file = tmp_path / "bench.json"
+    spec_file.write_text(json.dumps([{"kind": "chain", "m": 4, "n": 3, "k": 2}]))
+    for repeat in ("0", "-1"):
+        code, out, err = run_cli(capsys, "bench", "--spec", str(spec_file), "--out", "-",
+                                 "--repeat", repeat)
+        assert (code, out) == (1, "")
+        assert err == f"error: repeat must be >= 1, got {repeat}\n"
+
+
 def test_unsupported_voter_exit_code(capsys, tmp_path):
     doc = {"format": 1, "candidates": ["a", "b", "c"],
            "voters": [{"type": "combined",

@@ -9,6 +9,7 @@ from conftest import random_supported_profile, wide_second_group_profile
 
 from mewvote import (
     CoverWidthExceeded,
+    GenSpec,
     MallowsModel,
     MewError,
     PartialChain,
@@ -19,6 +20,7 @@ from mewvote import (
     candidate_set,
     expected_regret,
     expected_score,
+    generate,
     load_profile,
     make_rule,
     mew,
@@ -253,6 +255,60 @@ def test_pruned_result_splits_candidates_into_scores_and_bounds():
         assert len(res.pruned) == res.stats.prunings
 
 
+def test_closed_form_groups_are_all_in_before_pruning_starts():
+    # seeded alone, the poset voter's bounds would prune c, which the
+    # closed-form voters then make the winner
+    prof = Profile(candidate_set("a", "b", "c"),
+                   [Voter(None, PartialOrder([(0, 1), (0, 2)]), weight=2),
+                    Voter(None, PartialChain((2, 0, 1)), weight=3)])
+    rule = make_rule("plurality", prof.m)
+    for pruning in (True, False):
+        for grouping in (True, False):
+            res = mew(prof, rule, pruning=pruning, grouping=grouping)
+            assert res.winners == ("c",)
+            assert res.expected_scores["c"] == pytest.approx(3.0, abs=1e-12)
+
+
+def test_closed_form_groups_are_solved_exactly_with_no_bound(monkeypatch):
+    from mewvote import engine, rep
+    from mewvote.preferences import bucket_window
+
+    calls = []
+    real_rank_bounds = engine.rank_bounds
+    monkeypatch.setattr(engine, "rank_bounds",
+                        lambda *args: calls.append(args) or real_rank_bounds(*args))
+    m = 8
+    closed = [generate(GenSpec(kind="partitioned_partial", m=m, n=12, k=4, seed=1)),
+              generate(GenSpec(kind="chain", m=m, n=12, k=3, seed=2)),
+              generate(GenSpec(kind="truncated", m=m, n=12, t=2, b=1, seed=3))]
+    bounded = [generate(GenSpec(kind="poset", m=m, n=4, p_max=0.2, seed=4)),
+               generate(GenSpec(kind="mallows_tr", m=m, n=4, t=2, b=2, seed=5))]
+    uniform = Profile(closed[0].candidates, [v for p in closed for v in p.voters])
+    rule = make_rule("borda", m)
+    rep.clear_caches()
+    mew(uniform, rule)
+    assert calls == []
+
+    mixed = Profile(uniform.candidates,
+                    [v for p in bounded for v in p.voters] + list(uniform.voters))
+    # a poset voter may have drawn no pair, which makes it a closed-form voter
+    uniform_voters = [v for v in mixed.voters
+                      if v.model is None and not isinstance(v.observation, PartialOrder)]
+    keys = {(bucket_window(c, v.observation, m), m) for v in uniform_voters for c in range(m)}
+    bounded_groups = {v.group_key() for v in mixed.voters if v not in uniform_voters}
+    rep.clear_caches()
+    res = mew(mixed, rule)
+    assert len(calls) == len(bounded_groups) * m
+    assert {structure for _, structure, _ in calls} == {obs for _, obs in bounded_groups}
+    info = rep._uniform_row.cache_info()
+    assert info.misses == info.currsize == len(keys)
+    assert info.hits > 0
+    ref = mew(mixed, rule, pruning=False)
+    assert res.winners == ref.winners
+    for name, score in res.expected_scores.items():
+        assert score == pytest.approx(ref.expected_scores[name], abs=1e-9)
+
+
 def test_parallel_is_bit_identical_across_worker_counts():
     rng = np.random.default_rng(28)
     prof = random_supported_profile(rng, m_range=(4, 6), n_range=(5, 5), world_budget=2000)
@@ -362,9 +418,12 @@ def test_solvers_are_called_through_the_module_level_names(monkeypatch):
     count_calls("mewvote.engine", "rank_bounds")
     count_calls("mewvote.mpw", "rep_dispatch")
     count_calls("mewvote.mpw", "voter_support")
+    # the uniform poset voter is the one whose bounds are seeded: closed-form
+    # voters are solved exactly before pruning starts, with no bound
     prof = Profile(candidate_set("a", "b", "c", "d"),
                    [Voter(None, PartialChain((0, 1))),
-                    Voter(None, PartitionedPreference([[2], [3]], [0])), Voter()])
+                    Voter(None, PartitionedPreference([[2], [3]], [0])), Voter(),
+                    Voter(None, PartialOrder([(2, 3)]))])
     for rule_name, mpw_route in (("plurality", "mewvote.mpw.rep_dispatch"),
                                  ("borda", "mewvote.mpw.voter_support")):
         counts.clear()

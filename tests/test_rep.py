@@ -62,7 +62,7 @@ from mewvote import (
 )
 from mewvote.models import uniform_rim
 from mewvote.oracle import fcp_count, oracle_rank_distribution
-from mewvote.preferences import ancestor_masks, bucket_layout
+from mewvote.preferences import ancestor_masks, bucket_layout, bucket_window
 
 
 # --- closed form over ordered buckets ----------------------------------
@@ -103,6 +103,33 @@ def test_truncated_delegates_to_partitions():
     assert np.allclose(rep_uniform(0, tr, 4), [1.0, 0.0, 0.0, 0.0])
     empty = TruncatedRanking((), ())
     assert np.allclose(rep_uniform(2, empty, 4), [0.25] * 4)
+
+
+def test_uniform_rows_are_shared_and_equal_the_per_call_formula():
+    def per_call(window, m):  # the formula rep_uniform evaluated on every call
+        if window is None:
+            return np.full(m, 1.0 / m)
+        k, before, size = window
+        rows = rep._interleave(k, m)[before:before + size]
+        return rows[0].copy() if size == 1 else rows.sum(axis=0) / size
+
+    for m in range(2, 25):
+        cases = [(0, None, None)]
+        for k in range(1, m + 1):
+            for before in range(k):
+                for size in range(1, k - before + 1):
+                    # the items before c's bucket, c's bucket (c = before), the rest
+                    buckets = [range(before), range(before, before + size),
+                               range(before + size, k)]
+                    obs = PartitionedPreference([b for b in buckets if b], range(k, m))
+                    cases.append((before, obs, (k, before, size)))
+        for c, obs, window in cases:
+            assert bucket_window(c, obs, m) == window
+            out = rep_uniform(c, obs, m)
+            assert np.array_equal(out, per_call(window, m)), (m, window)
+            shared = rep._uniform_row(window, m)
+            assert out.flags.writeable and not np.shares_memory(out, shared)
+            assert not shared.flags.writeable
 
 
 # --- insertion model ------------------------------------------------------
