@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Record MEW results over a fixed profile matrix, or compare two such records.
+
+  python3 scripts/differential.py [--quick] [--out results.json]
+  python3 scripts/differential.py --compare A.json B.json
+
+The matrix is every generator kind at m in {5, 8}, seeds 0-2, under
+plurality, veto, 2-approval and Borda, with n in {6, 40} (``--quick``: n = 6
+only).  Each case holds, for ``mew`` under all four pruning/grouping settings
+and for ``mew_parallel`` at 1 and 2 workers: the winners, the scores and the
+bounds as ``float.hex`` strings, the pruned candidates, and the class name of
+any error raised in their place.
+
+``--compare`` prints, for each run setting and field, whether the two records
+are bit-identical there and otherwise the largest difference, plus each
+record's count of bounds intervals with lo >= hi.  It exits 1 if any winner
+set, pruned set or error class differs, or if the two matrices differ.
+Run it with ``PYTHONPATH`` at the ``src`` of the checkout to record.
+"""
+
+import argparse
+import json
+import sys
+
+import mewvote as mv
+from mewvote.generators import KINDS
+
+RULES = ("plurality", "veto", "k-approval:2", "borda")
+RUNS = {
+    "mew pruning=True grouping=True": lambda p, r: mv.mew(p, r),
+    "mew pruning=True grouping=False": lambda p, r: mv.mew(p, r, grouping=False),
+    "mew pruning=False grouping=True": lambda p, r: mv.mew(p, r, pruning=False),
+    "mew pruning=False grouping=False":
+        lambda p, r: mv.mew(p, r, pruning=False, grouping=False),
+    "mew_parallel workers=1": lambda p, r: mv.mew_parallel(p, r, workers=1),
+    "mew_parallel workers=2": lambda p, r: mv.mew_parallel(p, r, workers=2),
+}
+EXACT_FIELDS = ("winners", "pruned", "error")  # any difference here fails the comparison
+
+
+def record(result: mv.MewResult) -> dict:
+    return {"winners": list(result.winners), "pruned": list(result.pruned), "error": None,
+            "scores": {c: float.hex(s) for c, s in result.expected_scores.items()},
+            "bounds": {c: [float.hex(lo), float.hex(hi)]
+                       for c, (lo, hi) in result.bounds.items()}}
+
+
+def run_case(kind: str, m: int, n: int, seed: int, rule_spec: str) -> dict:
+    try:
+        # kind-specific parameters that leave each kind's observations partial
+        profile = mv.generate(mv.GenSpec(kind=kind, m=m, n=n, p_max=0.3, k=3, t=2, b=1,
+                                         seed=seed))
+        rule = mv.parse_rule(rule_spec, m)
+    except Exception as exc:  # the generator's own error is recorded for every run
+        return {name: {"error": type(exc).__name__} for name in RUNS}
+    runs = {}
+    for name, solve in RUNS.items():
+        try:
+            runs[name] = record(solve(profile, rule))
+        except Exception as exc:
+            runs[name] = {"error": type(exc).__name__}
+    return runs
+
+
+def run_matrix(quick: bool) -> dict:
+    return {f"{kind} m={m} n={n} seed={seed} {rule}": run_case(kind, m, n, seed, rule)
+            for kind in KINDS for m in (5, 8) for n in ((6,) if quick else (6, 40))
+            for seed in range(3) for rule in RULES}
+
+
+def inverted(doc: dict) -> int:
+    return sum(float.fromhex(lo) >= float.fromhex(hi) for case in doc.values()
+               for run in case.values() for lo, hi in run.get("bounds", {}).values())
+
+
+def flat(field: str, values: dict | None) -> dict:
+    """A scores map as it is, a bounds map as one entry per interval end."""
+    if field == "scores" or not values:
+        return values or {}
+    return {(c, end): v for c, pair in values.items() for end, v in zip(("lo", "hi"), pair)}
+
+
+def compare(a: dict, b: dict) -> int:
+    if a.keys() != b.keys():
+        print(f"the matrices differ: {len(a.keys() ^ b.keys())} cases in one record only")
+        return 1
+    failed = False
+    for name in RUNS:
+        for field in (*EXACT_FIELDS, "scores", "bounds"):
+            values = [(case[name].get(field), b[key][name].get(field)) for key, case in a.items()]
+            differing = sum(x != y for x, y in values)
+            if not differing:
+                verdict = "bit-identical"
+            elif field in EXACT_FIELDS:
+                verdict, failed = f"DIFFERS in {differing} cases", True
+            else:
+                pairs = [(flat(field, x), flat(field, y)) for x, y in values]
+                largest = max((abs(float.fromhex(x[c]) - float.fromhex(y[c]))
+                               for x, y in pairs for c in x.keys() & y.keys()), default=0.0)
+                verdict = f"largest difference {largest:.3g}"
+                moved = sum(x.keys() != y.keys() for x, y in pairs)
+                if moved:
+                    verdict += f"; the candidates held differ in {moved} cases"
+            print(f"{name:34} {field:8} {verdict}")
+    print(f"bounds intervals with lo >= hi: {inverted(a)} in A, {inverted(b)} in B")
+    return int(failed)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--quick", action="store_true", help="n = 6 only")
+    parser.add_argument("--out", default="-", help="JSON file to write (default: stdout)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two recorded JSON files instead of recording")
+    args = parser.parse_args()
+    if args.compare:
+        docs = []
+        for path in args.compare:
+            with open(path) as fh:
+                docs.append(json.load(fh))
+        sys.exit(compare(*docs))
+    text = json.dumps(run_matrix(args.quick), indent=1, sort_keys=True)
+    if args.out == "-":
+        print(text)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+
+
+if __name__ == "__main__":
+    main()

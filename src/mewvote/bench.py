@@ -107,10 +107,19 @@ def _check_types(i: int, entry: dict) -> None:
             raise ParseError(f"run {i}: field {name!r} must be {names}, got {value!r}")
 
 
+def _check_values(i: int, run: BenchRun) -> None:
+    """``algo`` is one the harness runs, and ``workers`` and ``cw`` are not negative."""
+    if run.algo not in ("mew", "mpw"):
+        raise ParseError(f"run {i}: field 'algo' must be 'mew' or 'mpw', got {run.algo!r}")
+    for name in ("workers", "cw"):
+        if getattr(run, name) < 0:
+            raise ParseError(f"run {i}: field {name!r} must be >= 0, got {getattr(run, name)!r}")
+
+
 def parse_bench_spec(text: str) -> list[BenchRun]:
     """A JSON array of ``BenchRun`` fields, or an object holding one as ``runs``;
     a missing ``runs``, an entry that is not an object, an unknown field or a
-    value of the wrong type raises ParseError naming the entry."""
+    value of the wrong type or out of range raises ParseError naming the entry."""
     doc = json.loads(text)
     runs = doc.get("runs") if isinstance(doc, dict) else doc
     if not isinstance(runs, list):
@@ -123,4 +132,5 @@ def parse_bench_spec(text: str) -> list[BenchRun]:
             parsed.append(BenchRun(**entry))
         except TypeError as exc:
             raise ParseError(f"run {i}: malformed entry ({exc})") from exc
+        _check_values(i, parsed[-1])
     return parsed

@@ -3,12 +3,13 @@
 One loop computes every result: identical voters are grouped into
 ``(voter, total weight)`` pairs, and each group in turn adds its weighted
 exact expected score to every candidate still alive.  With pruning on, the
-groups ``rep.closed_form`` names, whose score is one cached row read, are added
-first for every candidate; per-candidate score bounds from best/worst
-attainable ranks are seeded for the other groups only.  Once the closed-form
-groups are all in, each group's exact contribution replaces its bound
-contribution, and candidates whose upper bound falls below the best lower
-bound are dropped.
+groups ``rep.closed_form`` names, whose score is one cached row read, go first.
+Each candidate's score then lies in an interval: its exact score so far plus
+the unsolved groups' worst and best, read from a table of those groups'
+weighted worst-rank and best-rank scores (a closed-form group adds 0).  Once
+the closed-form groups are all in, after each group a candidate whose interval
+ends below the best interval start is dropped, keeping the interval it was
+dropped at.  A zero-width interval is reported as a score.
 Pruning and grouping never change the winner set.  The parallel mode solves
 one share of the scores in the caller and the others in forked children, then
 runs the same loop with pruning off, so its output is bit-identical for any
@@ -81,27 +82,25 @@ def _winner_ids(profile: Profile, scores: dict[int, float]) -> tuple[str, ...]:
                  if scores[c] >= top - tol)
 
 
-def _seed_bounds(groups: list[tuple[Voter, int]],
-                 rule: ScoringRule) -> tuple[np.ndarray, np.ndarray]:
-    """Per-(group, candidate) scores at the best and the worst attainable rank;
-    0 for a closed-form group, which is solved before any bound is used."""
+def _pending(groups: list[tuple[Voter, int]], order: list[int], rule: ScoringRule,
+             pruning: bool) -> tuple[list[list[float]], list[list[float]]]:
+    """Rows ``hi[k]``, ``lo[k]`` for k = 0..len(order): the weighted scores at
+    the best and the worst attainable rank, summed over the groups
+    ``order[k:]`` not solved yet.  The last row is 0, and so is every row
+    without pruning; a closed-form group adds 0, since it is solved before any
+    bound is used."""
     m = rule.m
-    best = np.zeros((len(groups), m))
-    worst = np.zeros((len(groups), m))
-    for gi, (voter, _) in enumerate(groups):
-        if closed_form(voter):
-            continue
-        for c in range(m):
-            b, w = rank_bounds(c, voter.observation, m)
-            best[gi, c] = rule.scores[b - 1]
-            worst[gi, c] = rule.scores[w - 1]
-    return best, worst
-
-
-def _survivors(alive: set[int], ub: list[float], lb: list[float]) -> set[int]:
-    max_lb = max(lb[c] for c in alive)
-    eps = PRUNE_REL_TOL * max(1.0, abs(max_lb))
-    return {c for c in alive if ub[c] >= max_lb - eps}
+    hi, lo = [[0.0] * m], [[0.0] * m]
+    for gi in reversed(order):
+        voter, weight = groups[gi]
+        h, l = hi[-1], lo[-1]
+        if pruning and not closed_form(voter):
+            ranks = [rank_bounds(c, voter.observation, m) for c in range(m)]
+            h = [h[c] + weight * rule.scores[b - 1] for c, (b, _) in enumerate(ranks)]
+            l = [l[c] + weight * rule.scores[w - 1] for c, (_, w) in enumerate(ranks)]
+        hi.append(h)
+        lo.append(l)
+    return hi[::-1], lo[::-1]
 
 
 def _solve(profile: Profile, rule: ScoringRule, groups: list[tuple[Voter, int]],
@@ -112,55 +111,48 @@ def _solve(profile: Profile, rule: ScoringRule, groups: list[tuple[Voter, int]],
     m = profile.m
     alive = set(range(m))
     exact = [0.0] * m
-    groups_done = [0] * m
     order = list(range(len(groups)))
     if pruning:  # closed-form groups first: their score costs no more than a bound
         order.sort(key=lambda gi: not closed_form(groups[gi][0]))
-        first = sum(closed_form(v) for v, _ in groups)
-        best, worst = _seed_bounds(groups, rule)
-        weights = np.array([w for _, w in groups], dtype=float)
-        ub = [float(v) for v in weights @ best]
-        lb = [float(v) for v in weights @ worst]
-        if not first:
-            alive = _survivors(alive, ub, lb)
-
-    for done, gi in enumerate(order, 1):
-        if len(alive) == 1:  # only pruning gets here, since m >= 2
+    first = sum(closed_form(v) for v, _ in groups) if pruning else 0
+    hi, lo = _pending(groups, order, rule, pruning)
+    solved = {}  # a pruned candidate -> the groups solved when it was pruned
+    k = 0
+    while True:
+        if pruning and k >= first:  # a bound holds once those groups are all in
+            top = max(exact[c] + lo[k][c] for c in alive)
+            eps = PRUNE_REL_TOL * max(1.0, abs(top))
+            solved.update((c, k) for c in alive if exact[c] + hi[k][c] < top - eps)
+            alive -= solved.keys()
+        if k == len(order) or len(alive) == 1:  # only pruning stops early, since m >= 2
             break
-        weight = groups[gi][1]
         cands = sorted(alive)
-        for c, e in zip(cands, group_scores(gi, cands)):
+        weight = groups[order[k]][1]
+        for c, e in zip(cands, group_scores(order[k], cands)):
             exact[c] += weight * e
-            groups_done[c] += 1
-            if pruning:
-                ub[c] += weight * (e - best[gi, c])
-                lb[c] += weight * (e - worst[gi, c])
-        if pruning and done >= first:  # a bound holds once those groups are all in
-            alive = _survivors(alive, ub, lb)
+        k += 1
 
-    # a score is fully determined once all groups contributed exactly, or once
-    # the optimistic and pessimistic bounds coincide (only pruning leaves a
-    # group out); a pruned candidate's bounds are the ones it was pruned at,
-    # since it is never refined again
-    score_of: dict[int, float] = {}
-    open_bounds: dict[int, tuple[float, float]] = {}
-    for c in range(m):
-        if groups_done[c] == len(groups):
-            score_of[c] = exact[c]
-        elif ub[c] == lb[c]:
-            score_of[c] = ub[c]
-        else:
-            open_bounds[c] = (lb[c], ub[c])
+    # each candidate's interval is its exact score so far plus the unsolved
+    # groups' worst and best: a pruned one's as it was pruned, and a zero-width
+    # one is a score
     ids = profile.candidates.ids
-    if alive <= score_of.keys():
-        winners = _winner_ids(profile, {c: score_of[c] for c in alive})
-    else:  # early return: a single survivor with partially refined bounds
+    scores: dict[int, float] = {}
+    bounds: dict[str, tuple[float, float]] = {}
+    for c in range(m):
+        kc = solved.get(c, k)
+        low, high = exact[c] + lo[kc][c], exact[c] + hi[kc][c]
+        if low == high:
+            scores[c] = high
+        else:
+            bounds[ids[c]] = (low, high)
+    if alive <= scores.keys():
+        winners = _winner_ids(profile, {c: scores[c] for c in alive})
+    else:  # early return: a single survivor with an open interval
         winners = tuple(ids[c] for c in sorted(alive))
     pruned = tuple(ids[c] for c in range(m) if c not in alive)
     stats = MewStats(voters=profile.n, groups=len(groups), prunings=len(pruned),
                      seconds=time.perf_counter() - t0, workers=workers)
-    return MewResult(winners, {ids[c]: s for c, s in score_of.items()},
-                     {ids[c]: b for c, b in open_bounds.items()}, pruned, stats)
+    return MewResult(winners, {ids[c]: s for c, s in scores.items()}, bounds, pruned, stats)
 
 
 def mew(profile: Profile, rule: ScoringRule, *,

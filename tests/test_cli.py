@@ -168,7 +168,10 @@ def test_bench_spec_fields_are_checked_against_their_types(capsys, tmp_path):
     spec_file = tmp_path / "bench.json"
     bad = [({"pruning": "no"}, "'pruning' must be bool"), ({"m": "4"}, "'m' must be int"),
            ({"n": True}, "'n' must be int"), ({"k": 2.5}, "'k' must be int or null"),
-           ({"phi": "0.5"}, "'phi' must be float or int"), ({"kind": 3}, "'kind' must be str")]
+           ({"phi": "0.5"}, "'phi' must be float or int"), ({"kind": 3}, "'kind' must be str"),
+           # and the values the harness would not run as given
+           ({"algo": "mpww"}, "'algo' must be 'mew' or 'mpw'"),
+           ({"workers": -2}, "'workers' must be >= 0"), ({"cw": -1}, "'cw' must be >= 0")]
     for fields, message in bad:
         spec_file.write_text(json.dumps([{"kind": "chain", "k": 2}, {"kind": "chain", **fields}]))
         code, out, err = run_cli(capsys, "bench", "--spec", str(spec_file), "--out", "-")

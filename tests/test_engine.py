@@ -193,7 +193,10 @@ def test_regret_decomposes_as_best_minus_score(fig1):
 
 
 def test_bounds_shrink_monotonically():
-    # replaying the refinement by hand: ub never increases, lb never decreases
+    # replaying the engine state by hand: after k groups a candidate lies in
+    # [exact + lo[k], exact + hi[k]], where hi[k] and lo[k] sum the unsolved
+    # groups' weighted best-rank and worst-rank scores; ub never increases and
+    # lb never decreases
     rng = np.random.default_rng(26)
     prof = random_supported_profile(rng, m_range=(4, 5), n_range=(3, 5), world_budget=400)
     rule = make_rule("borda", prof.m)
@@ -201,24 +204,19 @@ def test_bounds_shrink_monotonically():
     from mewvote.preferences import rank_bounds
 
     groups = _grouped(prof, True)
-    ub = np.zeros(prof.m)
-    lb = np.zeros(prof.m)
-    seed_best = {}
-    seed_worst = {}
-    for gi, (voter, weight) in enumerate(groups):
-        for c in range(prof.m):
-            b, w = rank_bounds(c, voter.observation, prof.m)
-            seed_best[gi, c] = rule.scores[b - 1]
-            seed_worst[gi, c] = rule.scores[w - 1]
-            ub[c] += weight * seed_best[gi, c]
-            lb[c] += weight * seed_worst[gi, c]
+    m = prof.m
+    hi, lo = [np.zeros(m)], [np.zeros(m)]
+    for voter, weight in reversed(groups):
+        ranks = [rank_bounds(c, voter.observation, m) for c in range(m)]
+        hi.insert(0, hi[0] + weight * np.array([rule.scores[b - 1] for b, _ in ranks]))
+        lo.insert(0, lo[0] + weight * np.array([rule.scores[w - 1] for _, w in ranks]))
+    exact = np.zeros(m)
+    ub, lb = exact + hi[0], exact + lo[0]
     assert np.all(lb <= ub + 1e-12)
-    for gi, (voter, weight) in enumerate(groups):
-        prev_ub, prev_lb = ub.copy(), lb.copy()
-        for c in range(prof.m):
-            e = expected_score(c, voter, rule)
-            ub[c] += weight * (e - seed_best[gi, c])
-            lb[c] += weight * (e - seed_worst[gi, c])
+    for k, (voter, weight) in enumerate(groups, 1):
+        exact += weight * np.array([expected_score(c, voter, rule) for c in range(m)])
+        prev_ub, prev_lb = ub, lb
+        ub, lb = exact + hi[k], exact + lo[k]
         assert np.all(ub <= prev_ub + 1e-12)
         assert np.all(lb >= prev_lb - 1e-12)
         assert np.all(lb <= ub + 1e-12)
@@ -252,7 +250,28 @@ def test_pruned_result_splits_candidates_into_scores_and_bounds():
             assert score == pytest.approx(full[ids.index(name)], abs=1e-9)
         for name, (lo, hi) in res.bounds.items():
             assert lo - 1e-9 <= full[ids.index(name)] <= hi + 1e-9
+            assert lo < hi  # a zero-width interval is reported as a score
         assert len(res.pruned) == res.stats.prunings
+        values = [*res.expected_scores.values(), *(v for b in res.bounds.values() for v in b)]
+        assert all(type(v) is float for v in values)
+
+
+@pytest.mark.parametrize("spec, as_scores", [
+    (GenSpec(kind="poset", m=5, n=6, p_max=0.3, seed=2), {"c3"}),
+    (GenSpec(kind="mallows_fp", m=8, n=6, k=3, seed=0), {"c4", "c6", "c7"}),
+])
+def test_an_interval_is_never_inverted_and_a_closed_one_is_a_score(spec, as_scores):
+    # these candidates' pending best and worst scores meet, where adding and
+    # subtracting per group gave intervals like (0.8, 0.7999999999999998)
+    prof = generate(spec)
+    rule = make_rule("plurality", prof.m)
+    res = mew(prof, rule)
+    ref = mew(prof, rule, pruning=False)
+    assert res.winners == ref.winners
+    assert all(lo < hi for lo, hi in res.bounds.values())
+    assert as_scores <= res.expected_scores.keys()
+    for name in as_scores:
+        assert res.expected_scores[name] == pytest.approx(ref.expected_scores[name], abs=1e-12)
 
 
 def test_closed_form_groups_are_all_in_before_pruning_starts():

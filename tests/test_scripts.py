@@ -2,6 +2,7 @@
 writes or prints what its docstring promises."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -12,12 +13,12 @@ from mewvote.bench import CSV_COLUMNS
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> str:
+def run_script(name: str, *args: str, returncode: int = 0) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
                           capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc.stdout
 
 
@@ -47,3 +48,22 @@ def test_mew_vs_mpw_prints_one_row_per_voter_count():
         assert int(fields[0]) == n
         assert float(fields[1]) >= 0.0 and float(fields[2]) >= 0.0
         assert int(fields[3]) > 1
+
+
+def test_differential_run_compared_with_itself_is_bit_identical(tmp_path):
+    record = tmp_path / "a.json"
+    run_script("differential.py", "--quick", "--out", str(record))
+    doc = json.loads(record.read_text())
+    assert len(doc) == 11 * 2 * 3 * 4  # kinds, m, seeds, rules
+    lines = run_script("differential.py", "--compare", str(record), str(record)).splitlines()
+    assert len(lines) == 6 * 5 + 1  # run settings x fields, and the inverted-interval count
+    assert all(line.endswith(" bit-identical") for line in lines[:-1]), lines
+    assert lines[-1] == "bounds intervals with lo >= hi: 0 in A, 0 in B"
+
+    # a changed winner set fails the comparison
+    case = doc[next(iter(doc))]["mew pruning=True grouping=True"]
+    case["winners"] = case["winners"][1:] if len(case["winners"]) > 1 else ["c9"]
+    changed = tmp_path / "b.json"
+    changed.write_text(json.dumps(doc))
+    out = run_script("differential.py", "--compare", str(record), str(changed), returncode=1)
+    assert "mew pruning=True grouping=True     winners  DIFFERS in 1 cases" in out
