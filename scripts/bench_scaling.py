@@ -33,7 +33,7 @@ def candidate_scaling(quick: bool) -> list[BenchRun]:
 def cover_width_scaling(quick: bool) -> list[BenchRun]:
     widths = range(1, 5) if quick else range(1, 6)
     return [
-        BenchRun(kind="cw", m=10, n=1, rule="plurality", phi=0.5, cw=w, seed=w)
+        BenchRun(kind="cover_width", m=10, n=1, rule="plurality", phi=0.5, k=w, seed=w)
         for w in widths
     ]
 

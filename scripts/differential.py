@@ -6,8 +6,10 @@
 
 The matrix is every generator kind at m in {5, 8}, seeds 0-2, under
 plurality, veto, 2-approval and Borda, with n in {6, 40} (``--quick``: n = 6
-only).  Each case holds, for ``mew`` under all four pruning/grouping settings
-and for ``mew_parallel`` at 1 and 2 workers: the winners, the scores and the
+only), plus four hand-built one-voter profiles under plurality that raise
+``CoverWidthExceeded``, ``Unsupported``, ``ZeroPosterior`` and ``TooLarge``.
+Each case holds, for ``mew`` under all four pruning/grouping settings and for
+``mew_parallel`` at 1, 2, 4 and 8 workers: the winners, the scores and the
 bounds as ``float.hex`` strings, the pruned candidates, and the class name of
 any error raised in their place.
 
@@ -21,6 +23,7 @@ Run it with ``PYTHONPATH`` at the ``src`` of the checkout to record.
 import argparse
 import json
 import sys
+from typing import Callable
 
 import mewvote as mv
 from mewvote.generators import KINDS
@@ -34,6 +37,8 @@ RUNS = {
         lambda p, r: mv.mew(p, r, pruning=False, grouping=False),
     "mew_parallel workers=1": lambda p, r: mv.mew_parallel(p, r, workers=1),
     "mew_parallel workers=2": lambda p, r: mv.mew_parallel(p, r, workers=2),
+    "mew_parallel workers=4": lambda p, r: mv.mew_parallel(p, r, workers=4),
+    "mew_parallel workers=8": lambda p, r: mv.mew_parallel(p, r, workers=8),
 }
 EXACT_FIELDS = ("winners", "pruned", "error")  # any difference here fails the comparison
 
@@ -45,12 +50,37 @@ def record(result: mv.MewResult) -> dict:
                        for c, (lo, hi) in result.bounds.items()}}
 
 
-def run_case(kind: str, m: int, n: int, seed: int, rule_spec: str) -> dict:
+def generated(kind: str, m: int, n: int, seed: int) -> Callable[[], mv.Profile]:
+    # kind-specific parameters that leave each kind's observations partial
+    return lambda: mv.generate(mv.GenSpec(kind=kind, m=m, n=n, p_max=0.3, k=3, t=2, b=1,
+                                          seed=seed))
+
+
+def one_voter(m: int, model, observation) -> Callable[[], mv.Profile]:
+    candidates = mv.CandidateSet(tuple(f"c{i + 1}" for i in range(m)))
+    return lambda: mv.Profile(candidates, [mv.Voter(model, observation)])
+
+
+# Each raises the error it is named after on at least one run setting.
+ERROR_CASES = {
+    "error CoverWidthExceeded: mallows m=9, c1..c7 above c9":
+        one_voter(9, mv.MallowsModel(tuple(range(9)), 0.5),
+                  mv.PartialOrder([(i, 8) for i in range(7)])),
+    "error Unsupported: selection model given a chain":
+        one_voter(4, mv.mallows_to_rsm(mv.MallowsModel((0, 1, 2, 3), 0.5)),
+                  mv.PartialChain((1, 0))),
+    "error ZeroPosterior: rim ranking c1 c2 c3 given c3 on top":
+        one_voter(3, mv.RimModel((0, 1, 2), [[1], [0, 1], [0, 0, 1]]),
+                  mv.TruncatedRanking((2,), ())),
+    "error TooLarge: uniform m=19, c1 above the rest":
+        one_voter(19, None, mv.PartialOrder([(0, i) for i in range(1, 19)])),
+}
+
+
+def run_case(make_profile: Callable[[], mv.Profile], rule_spec: str) -> dict:
     try:
-        # kind-specific parameters that leave each kind's observations partial
-        profile = mv.generate(mv.GenSpec(kind=kind, m=m, n=n, p_max=0.3, k=3, t=2, b=1,
-                                         seed=seed))
-        rule = mv.parse_rule(rule_spec, m)
+        profile = make_profile()
+        rule = mv.parse_rule(rule_spec, profile.m)
     except Exception as exc:  # the generator's own error is recorded for every run
         return {name: {"error": type(exc).__name__} for name in RUNS}
     runs = {}
@@ -63,9 +93,11 @@ def run_case(kind: str, m: int, n: int, seed: int, rule_spec: str) -> dict:
 
 
 def run_matrix(quick: bool) -> dict:
-    return {f"{kind} m={m} n={n} seed={seed} {rule}": run_case(kind, m, n, seed, rule)
-            for kind in KINDS for m in (5, 8) for n in ((6,) if quick else (6, 40))
-            for seed in range(3) for rule in RULES}
+    cases = {f"{kind} m={m} n={n} seed={seed} {rule}": (generated(kind, m, n, seed), rule)
+             for kind in KINDS for m in (5, 8) for n in ((6,) if quick else (6, 40))
+             for seed in range(3) for rule in RULES}
+    cases.update({f"{name} plurality": (make, "plurality") for name, make in ERROR_CASES.items()})
+    return {key: run_case(*case) for key, case in cases.items()}
 
 
 def inverted(doc: dict) -> int:

@@ -18,15 +18,10 @@ from .profiles import Profile
 from .rep import clear_caches
 from .rules import parse_rule
 
-CSV_COLUMNS = (
-    "kind", "algo", "m", "n", "rule", "pruning", "grouping", "workers",
-    "phi", "p_max", "k", "t", "b", "cw", "repeats", "mean_seconds", "stddev_seconds",
-)
-
 
 @dataclass(frozen=True)
 class BenchRun:
-    kind: str
+    kind: str                  # a generator kind, or "cover_width" (its width is k)
     algo: str = "mew"          # mew | mpw
     m: int = 10
     n: int = 100
@@ -39,13 +34,16 @@ class BenchRun:
     k: int | None = None
     t: int = 0
     b: int = 0
-    cw: int = 0                # > 0 selects the fixed-cover-width profile family
     seed: int = 0
 
 
+CSV_COLUMNS = (*(f.name for f in fields(BenchRun) if f.name != "seed"),
+               "repeats", "mean_seconds", "stddev_seconds")
+
+
 def build_profile(run: BenchRun) -> Profile:
-    if run.cw > 0:
-        return cover_width_profile(run.m, run.n, run.cw, run.phi, run.seed)
+    if run.kind == "cover_width":
+        return cover_width_profile(run.m, run.n, run.k, run.phi, run.seed)
     spec = GenSpec(kind=run.kind, m=run.m, n=run.n, phi=run.phi, p_max=run.p_max,
                    k=run.k, t=run.t, b=run.b, seed=run.seed)
     return generate(spec)
@@ -73,15 +71,9 @@ def run_bench(runs: list[BenchRun], repeat: int = 3) -> list[dict]:
     for run in runs:
         profile = build_profile(run)
         times = [time_run(run, profile) for _ in range(repeat)]
-        rows.append({
-            "kind": run.kind, "algo": run.algo, "m": run.m, "n": run.n,
-            "rule": run.rule, "pruning": run.pruning, "grouping": run.grouping,
-            "workers": run.workers, "phi": run.phi, "p_max": run.p_max,
-            "k": run.k if run.k is not None else "", "t": run.t, "b": run.b,
-            "cw": run.cw, "repeats": repeat,
-            "mean_seconds": statistics.fmean(times),
-            "stddev_seconds": statistics.stdev(times) if len(times) > 1 else 0.0,
-        })
+        rows.append({**{name: getattr(run, name) for name in CSV_COLUMNS[:-3]},
+                     "repeats": repeat, "mean_seconds": statistics.fmean(times),
+                     "stddev_seconds": statistics.stdev(times) if len(times) > 1 else 0.0})
     return rows
 
 
@@ -108,12 +100,11 @@ def _check_types(i: int, entry: dict) -> None:
 
 
 def _check_values(i: int, run: BenchRun) -> None:
-    """``algo`` is one the harness runs, and ``workers`` and ``cw`` are not negative."""
+    """``algo`` is one the harness runs, and ``workers`` is not negative."""
     if run.algo not in ("mew", "mpw"):
         raise ParseError(f"run {i}: field 'algo' must be 'mew' or 'mpw', got {run.algo!r}")
-    for name in ("workers", "cw"):
-        if getattr(run, name) < 0:
-            raise ParseError(f"run {i}: field {name!r} must be >= 0, got {getattr(run, name)!r}")
+    if run.workers < 0:
+        raise ParseError(f"run {i}: field 'workers' must be >= 0, got {run.workers!r}")
 
 
 def parse_bench_spec(text: str) -> list[BenchRun]:

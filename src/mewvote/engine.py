@@ -10,10 +10,13 @@ weighted worst-rank and best-rank scores (a closed-form group adds 0).  Once
 the closed-form groups are all in, after each group a candidate whose interval
 ends below the best interval start is dropped, keeping the interval it was
 dropped at.  A zero-width interval is reported as a score.
-Pruning and grouping never change the winner set.  The parallel mode solves
-one share of the scores in the caller and the others in forked children, then
-runs the same loop with pruning off, so its output is bit-identical for any
-worker count and equals ``mew(pruning=False)``.
+Grouping never changes the winner set, nor does pruning when every group
+solves.  Pruning stops once one candidate is alive, so a group it never
+reaches cannot raise: a voter whose observation has zero posterior, or one
+past a solver budget, then gives winners where ``pruning=False`` raises.
+The parallel mode solves one share of the scores in the caller and the others
+in forked children, then runs the same loop with pruning off, so its output is
+bit-identical for any worker count and equals ``mew(pruning=False)``.
 
 The engine solves through ``rep`` alone; the possible-worlds oracle that
 checks it (and owns the expected regret) is never imported here.
@@ -157,7 +160,8 @@ def _solve(profile: Profile, rule: ScoringRule, groups: list[tuple[Voter, int]],
 
 def mew(profile: Profile, rule: ScoringRule, *,
         pruning: bool = True, grouping: bool = True) -> MewResult:
-    """Most-expected-winner set; identical for every pruning/grouping setting."""
+    """Most-expected-winner set; identical for every pruning/grouping setting,
+    unless pruning skips a group that would raise (see the module docstring)."""
     t0 = time.perf_counter()
     check_rule_size(rule, profile.m)
     groups = _grouped(profile, grouping)

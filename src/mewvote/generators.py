@@ -67,8 +67,8 @@ def cover_width_profile(m: int, n: int, width: int, phi: float, seed: int) -> Pr
     The first ``width`` reference items are each preferred to the last one, so
     all of them stay tracked until the final insertion.
     """
-    if not 1 <= width <= m - 1:
-        raise ValidationError(f"cover width must be in [1, {m - 1}], got {width}")
+    if isinstance(width, bool) or not isinstance(width, int) or not 1 <= width <= m - 1:
+        raise ValidationError(f"cover width must be an integer in [1, {m - 1}], got {width!r}")
     pairs = [(i, m - 1) for i in range(width)]
     model = MallowsModel(tuple(range(m)), phi)
     voters = [Voter(model, PartialOrder(pairs)) for _ in range(n)]

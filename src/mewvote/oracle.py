@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooLarge, ZeroPosterior
+from .errors import TooLarge, ValidationError, ZeroPosterior
 from .models import MallowsModel, RimModel, RsmRankingModel, kendall_tau, rim_probability, rsm_probability
 from .preferences import (
     PartialChain,
@@ -36,6 +36,8 @@ ENUMERATION_M_CAP = 10
 
 def world_cap() -> int:
     env = os.environ.get("MEW_ENUM_CAP")
+    if env and not (env.isdecimal() and int(env) >= 1):
+        raise ValidationError(f"MEW_ENUM_CAP must be a positive integer, got {env!r}")
     return int(env) if env else DEFAULT_WORLD_CAP
 
 

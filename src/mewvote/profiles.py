@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import Unsupported, ValidationError
 from .models import MallowsModel, RimModel, RsmRankingModel, validate_reference
 from .preferences import CandidateSet, Observation, PartialOrder, check_observation, validate
 
@@ -15,8 +15,8 @@ class Voter:
     """One voter: a generation-step model, an optional observation, a multiplicity.
 
     ``model`` is None for the uniform generation step.  A complete ranking is
-    represented as a full-length partial chain observation; an observation of
-    no known type raises Unsupported.
+    represented as a full-length partial chain observation; a model or an
+    observation of no known type raises Unsupported.
     """
 
     model: MallowsModel | RimModel | RsmRankingModel | None = None
@@ -24,6 +24,8 @@ class Voter:
     weight: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.model, (MallowsModel, RimModel, RsmRankingModel, type(None))):
+            raise Unsupported(f"unknown model type {type(self.model).__name__}")
         check_observation(self.observation)  # every solver path keys a cache on it
         if isinstance(self.observation, PartialOrder) and not self.observation.pairs:
             object.__setattr__(self, "observation", None)  # canonical "no information"

@@ -425,12 +425,6 @@ def uniform_poset_distribution(c: int, p: PartialOrder, m: int) -> RankDistribut
 # Dispatch
 
 
-def _check_model(model, m: int) -> None:
-    if not isinstance(model, (MallowsModel, RimModel, RsmRankingModel)):
-        raise Unsupported(f"unknown model type {type(model).__name__}")
-    validate_reference(model.sigma, m)
-
-
 def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
     """Route one (candidate, voter) query to the cheapest applicable solver."""
     check_candidate(c, m)
@@ -441,7 +435,7 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
     if model is None:
         return uniform_poset_distribution(c, obs, m)
 
-    _check_model(model, m)
+    validate_reference(model.sigma, m)
 
     if isinstance(model, RsmRankingModel):
         if obs is not None:
@@ -468,7 +462,7 @@ def voter_support(voter: Voter, m: int, cap: int = COMPLETION_CAP) -> list[tuple
     """
     model = voter.model
     if model is not None:
-        _check_model(model, m)
+        validate_reference(model.sigma, m)
     support: list[tuple[Ranking, float]] = []
     for r in linear_extensions(voter.observation, m, cap):
         if model is None:

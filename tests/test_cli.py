@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -102,6 +103,7 @@ def test_bench_csv(capsys, tmp_path):
     spec = {"runs": [
         {"kind": "chain", "m": 5, "n": 20, "k": 3, "rule": "plurality", "seed": 1},
         {"kind": "mallows", "m": 5, "n": 10, "phi": 0.5, "rule": "borda", "seed": 2},
+        {"kind": "cover_width", "m": 6, "n": 2, "k": 3},
     ]}
     spec_file = tmp_path / "bench.json"
     spec_file.write_text(json.dumps(spec))
@@ -111,7 +113,11 @@ def test_bench_csv(capsys, tmp_path):
     assert code == 0
     lines = out_file.read_text().strip().splitlines()
     assert lines[0].split(",")[:6] == ["kind", "algo", "m", "n", "rule", "pruning"]
-    assert len(lines) == 3
+    assert len(lines) == 4
+    rows = list(csv.DictReader(lines))
+    assert tuple(rows[0]) == bench.CSV_COLUMNS and "seed" not in rows[0]
+    assert [(row["kind"], row["k"]) for row in rows] == [
+        ("chain", "3"), ("mallows", ""), ("cover_width", "3")]
 
 
 def test_bench_repeats_start_with_an_empty_table_cache(monkeypatch):
@@ -154,7 +160,8 @@ def test_malformed_profile_exit_code(capsys, tmp_path):
 
 def test_malformed_bench_spec_exit_code(capsys, tmp_path):
     spec_file = tmp_path / "bench.json"
-    for spec in ({"runs": [{"kind": "poset", "bogus": 1}]}, {"kinds": []}, [3]):
+    for spec in ({"runs": [{"kind": "poset", "bogus": 1}]}, {"kinds": []}, [3],
+                 [{"kind": "cover_width", "m": 6, "n": 2}]):  # a width is required
         spec_file.write_text(json.dumps(spec))
         code, _, err = run_cli(capsys, "bench", "--spec", str(spec_file), "--out", "-")
         assert code == 1
@@ -171,12 +178,17 @@ def test_bench_spec_fields_are_checked_against_their_types(capsys, tmp_path):
            ({"phi": "0.5"}, "'phi' must be float or int"), ({"kind": 3}, "'kind' must be str"),
            # and the values the harness would not run as given
            ({"algo": "mpww"}, "'algo' must be 'mew' or 'mpw'"),
-           ({"workers": -2}, "'workers' must be >= 0"), ({"cw": -1}, "'cw' must be >= 0")]
+           ({"workers": -2}, "'workers' must be >= 0")]
     for fields, message in bad:
         spec_file.write_text(json.dumps([{"kind": "chain", "k": 2}, {"kind": "chain", **fields}]))
         code, out, err = run_cli(capsys, "bench", "--spec", str(spec_file), "--out", "-")
         assert (code, out) == (1, ""), fields
         assert err.startswith(f"error: run 1: field {message}, got "), err
+    # a cover width is the "cover_width" kind's k, not a field of its own
+    spec_file.write_text(json.dumps([{"kind": "chain", "k": 2}, {"kind": "poset", "cw": 3}]))
+    code, out, err = run_cli(capsys, "bench", "--spec", str(spec_file), "--out", "-")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: run 1: malformed entry"), err
     # an int is fine for a float, and null for an optional int
     runs = bench.parse_bench_spec(json.dumps([{"kind": "chain", "phi": 1, "k": None}]))
     assert runs == [bench.BenchRun(kind="chain", phi=1, k=None)]
@@ -214,6 +226,20 @@ def test_resource_cap_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "oracle", "--profile", str(path), "--rule", "plurality")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("enum_cap, argv, message", [
+    ("abc", ("oracle",), "MEW_ENUM_CAP must be a positive integer, got 'abc'"),
+    ("-1", ("oracle",), "MEW_ENUM_CAP must be a positive integer, got '-1'"),
+    (None, ("mpw", "--state-cap", "0"), "state_cap must be a positive integer, got 0"),
+], ids=["enum-cap-abc", "enum-cap-negative", "state-cap-zero"])
+def test_a_cap_that_is_not_a_positive_integer_is_an_input_error(
+        capsys, data_dir, monkeypatch, enum_cap, argv, message):
+    if enum_cap is not None:
+        monkeypatch.setenv("MEW_ENUM_CAP", enum_cap)
+    code, out, err = run_cli(capsys, *argv, "--profile", str(data_dir / "fig1.profile"),
+                             "--rule", "plurality")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_bad_rule_exit_code(capsys, data_dir):

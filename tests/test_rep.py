@@ -821,6 +821,12 @@ def test_unknown_observation_type_is_unsupported_on_every_path(path):
             _UNKNOWN_OBSERVATION_PATHS[path](obs)
 
 
+def test_unknown_model_type_is_unsupported_when_a_voter_is_built():
+    for model in (object(), "mallows", MallowsModel):
+        with pytest.raises(Unsupported, match=f"unknown model type {type(model).__name__}"):
+            Profile(candidate_set("a", "b", "c"), [Voter(model=model)])
+
+
 def test_clear_caches_empties_every_solver_preference_and_model_cache():
     rule = make_rule("borda", 6)
     for kind in ("poset", "mallows_po", "mallows_tr", "rsm", "chain"):

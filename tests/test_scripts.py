@@ -54,9 +54,11 @@ def test_differential_run_compared_with_itself_is_bit_identical(tmp_path):
     record = tmp_path / "a.json"
     run_script("differential.py", "--quick", "--out", str(record))
     doc = json.loads(record.read_text())
-    assert len(doc) == 11 * 2 * 3 * 4  # kinds, m, seeds, rules
+    assert len(doc) == 11 * 2 * 3 * 4 + 4  # kinds, m, seeds, rules; the hand-built error cases
+    errors = {run.get("error") for case in doc.values() for run in case.values()}
+    assert errors == {None, "CoverWidthExceeded", "Unsupported", "ZeroPosterior", "TooLarge"}
     lines = run_script("differential.py", "--compare", str(record), str(record)).splitlines()
-    assert len(lines) == 6 * 5 + 1  # run settings x fields, and the inverted-interval count
+    assert len(lines) == 8 * 5 + 1  # run settings x fields, and the inverted-interval count
     assert all(line.endswith(" bit-identical") for line in lines[:-1]), lines
     assert lines[-1] == "bounds intervals with lo >= hi: 0 in A, 0 in B"
 
