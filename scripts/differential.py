@@ -11,12 +11,15 @@ only), plus four hand-built one-voter profiles under plurality that raise
 Each case holds, for ``mew`` under all four pruning/grouping settings and for
 ``mew_parallel`` at 1, 2, 4 and 8 workers: the winners, the scores and the
 bounds as ``float.hex`` strings, the pruned candidates, and the class name of
-any error raised in their place.
+any error raised in their place.  Each plurality case also holds ``rows``:
+every voter's ``rep_dispatch`` row of every candidate, in profile order, as
+``float.hex`` strings, or the class name of the error the voter raises.
 
 ``--compare`` prints, for each run setting and field, whether the two records
 are bit-identical there and otherwise the largest difference, plus each
-record's count of bounds intervals with lo >= hi.  It exits 1 if any winner
-set, pruned set or error class differs, or if the two matrices differ.
+record's count of bounds intervals with lo >= hi; the same verdict on the
+``rows`` follows on stderr.  It exits 1 if any winner set, pruned set or error
+class (of a run or of a voter's rows) differs, or if the two matrices differ.
 Run it with ``PYTHONPATH`` at the ``src`` of the checkout to record.
 """
 
@@ -27,6 +30,7 @@ from typing import Callable
 
 import mewvote as mv
 from mewvote.generators import KINDS
+from mewvote.rep import rep_dispatch
 
 RULES = ("plurality", "veto", "k-approval:2", "borda")
 RUNS = {
@@ -63,9 +67,9 @@ def one_voter(m: int, model, observation) -> Callable[[], mv.Profile]:
 
 # Each raises the error it is named after on at least one run setting.
 ERROR_CASES = {
-    "error CoverWidthExceeded: mallows m=9, c1..c7 above c9":
-        one_voter(9, mv.MallowsModel(tuple(range(9)), 0.5),
-                  mv.PartialOrder([(i, 8) for i in range(7)])),
+    "error CoverWidthExceeded: mallows m=24, c1..c7 above c24":
+        one_voter(24, mv.MallowsModel(tuple(range(24)), 0.5),
+                  mv.PartialOrder([(i, 23) for i in range(7)])),
     "error Unsupported: selection model given a chain":
         one_voter(4, mv.mallows_to_rsm(mv.MallowsModel((0, 1, 2, 3), 0.5)),
                   mv.PartialChain((1, 0))),
@@ -77,6 +81,13 @@ ERROR_CASES = {
 }
 
 
+def voter_rows(voter: mv.Voter, m: int) -> list | str:
+    try:
+        return [[float.hex(p) for p in rep_dispatch(c, voter, m)] for c in range(m)]
+    except Exception as exc:
+        return type(exc).__name__
+
+
 def run_case(make_profile: Callable[[], mv.Profile], rule_spec: str) -> dict:
     try:
         profile = make_profile()
@@ -84,6 +95,8 @@ def run_case(make_profile: Callable[[], mv.Profile], rule_spec: str) -> dict:
     except Exception as exc:  # the generator's own error is recorded for every run
         return {name: {"error": type(exc).__name__} for name in RUNS}
     runs = {}
+    if rule_spec == "plurality":  # the rows do not depend on the rule
+        runs["rows"] = {"voters": [voter_rows(v, profile.m) for v in profile.voters]}
     for name, solve in RUNS.items():
         try:
             runs[name] = record(solve(profile, rule))
@@ -135,7 +148,27 @@ def compare(a: dict, b: dict) -> int:
                     verdict += f"; the candidates held differ in {moved} cases"
             print(f"{name:34} {field:8} {verdict}")
     print(f"bounds intervals with lo >= hi: {inverted(a)} in A, {inverted(b)} in B")
-    return int(failed)
+    return int(compare_rows(a, b) or failed)
+
+
+def compare_rows(a: dict, b: dict) -> bool:
+    """Print the verdict on the recorded ``rep_dispatch`` rows to stderr; whether
+    a voter's error class differs."""
+    largest, errors = 0.0, 0
+    for key, case in a.items():
+        for x, y in zip(case.get("rows", {}).get("voters", ()),
+                        b[key].get("rows", {}).get("voters", ())):
+            if isinstance(x, str) or isinstance(y, str):
+                errors += x != y
+            else:
+                largest = max([largest] + [abs(float.fromhex(p) - float.fromhex(q))
+                                           for rx, ry in zip(x, y) for p, q in zip(rx, ry)])
+    same = all(case.get("rows") == b[key].get("rows") for key, case in a.items())
+    verdict = "bit-identical" if same else f"largest difference {largest:.3g}"
+    if errors:
+        verdict += f"; the error class differs for {errors} voters"
+    print(f"{'rep_dispatch rows':34} {verdict}", file=sys.stderr)
+    return bool(errors)
 
 
 def main() -> None:

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import InvalidRule, MewError
 from .preferences import rank_bounds
 from .profiles import Profile, Voter
-from .rep import closed_form, rep_dispatch
+from .rep import closed_form, rep_dispatch, shared_table
 from .rules import ScoringRule, check_rule_size
 
 WINNER_REL_TOL = 1e-9
@@ -218,9 +218,12 @@ def mew_parallel(profile: Profile, rule: ScoringRule, workers: int = 1) -> MewRe
 
     Each group's candidates are cut into ``ceil(workers / groups)`` slices, and
     the (group, slice) units are dealt round-robin into ``min(workers, units)``
-    shares.  This process solves share 0 while each other share runs in a forked
-    child; the engine loop then runs with pruning off, so the result is
-    bit-identical for any worker count and equals ``mew(pruning=False)``.
+    shares.  A group whose rows are read from one ``rep.shared_table`` has that
+    table built here before any fork when its candidates are split, so it is
+    built once, not once per share.  This process solves share 0 while each
+    other share runs in a forked child; the engine loop then runs with pruning
+    off, so the result is bit-identical for any worker count and equals
+    ``mew(pruning=False)``.
     """
     t0 = time.perf_counter()
     check_rule_size(rule, profile.m)
@@ -228,6 +231,9 @@ def mew_parallel(profile: Profile, rule: ScoringRule, workers: int = 1) -> MewRe
         raise InvalidRule(f"workers must be >= 1, got {workers}")
     groups = _grouped(profile, grouping=True)
     k = min(rule.m, -(-workers // len(groups)))  # candidate slices per group
+    if k > 1:  # the children inherit the built tables
+        for voter, _ in groups:
+            shared_table(voter, rule.m)
     units = [(gi, range(j, rule.m, k)) for gi in range(len(groups)) for j in range(k)]
     shares = [[(gi, c) for gi, cands in units[i::workers] for c in cands]
               for i in range(min(workers, len(units)))]

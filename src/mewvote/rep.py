@@ -25,10 +25,21 @@ model plus optional observation) to the cheapest applicable solver:
     reference order.  That row, ``_mallows_rank_row``, is solved once by
     ``rep_rim`` and shared by every voter and candidate;
   - a selection dynamic program for ranking selection models;
-  - for insertion models given any other observation, a tracked-item
-    insertion DP over the observation's ancestor masks, whose cost is
-    exponential in the observation's cover width.  A ``MallowsModel`` reads
-    its insertion rows as ``pi``, so every insertion solver takes it as it is.
+  - for insertion models given any other observation (a poset, or buckets
+    that leave some candidates out), one of two DPs over the observation's
+    ancestor masks.  ``_insertion_table`` walks the observation's lattice of
+    order ideals once, forward and backward, and gives every candidate's row;
+    it is cached per (model, observation, m).  The tracked-item DP,
+    ``rep_rim_poset``, runs per candidate at a cost exponential in the
+    observation's cover width cw.  A voter takes the first when its lattice
+    has at most min(``IDEAL_BUDGET``, m ** (cw + 1)) ideals, counted as the
+    product of the components' counts, and the second otherwise; only there
+    does the cover-width cap bind.  A ``MallowsModel`` reads its insertion
+    rows as ``pi``, so every insertion solver takes it as it is.
+
+``shared_table`` names the routes that read every row of a voter from one
+table (uniform posets and ``_insertion_table``), so ``mew_parallel`` can
+build it once before it splits the voter's candidates across processes.
 
 Conditioning on evidence with zero probability raises ZeroPosterior: the
 posterior is undefined there, and returning a default would poison expected
@@ -48,6 +59,7 @@ from . import models, preferences
 from .errors import (
     CoverWidthExceeded,
     RankOutOfRange,
+    TooLarge,
     Unsupported,
     ValidationError,
     ZeroPosterior,
@@ -357,23 +369,26 @@ def rep_mallows_partitioned(c: int, model: MallowsModel, fp: Observation | None,
 
 
 # ---------------------------------------------------------------------------
-# Uniform posets: one table per connected component, interleaved over the ranks
+# One pass over the order ideals: every candidate's rank row at once
 
 
-def _component_table(items: list[int], anc_masks: tuple[int, ...]) -> np.ndarray:
-    """table[x][j-1] = fraction of a connected component's linear extensions
-    placing its x-th item (in ``items`` order) at rank j among its k items.
+def _ideal_table(anc_masks: list[int] | tuple[int, ...], rows=None, prefixes=None) -> np.ndarray:
+    """table[x][j-1] = Pr(item x at rank j) over the orderings of k items that
+    ``anc_masks`` allows: all equally likely, or weighted by an insertion
+    model's ``rows`` as in ``ideal_levels``.
 
-    f[S] counts the orderings of an order ideal S, from ``ideal_levels``, and
-    g[S] those of its complement, so placing x right after S contributes
-    f[S] * g[S + x] extensions with x at rank |S| + 1, in exact ints at any k.
+    A ranking built top-down is a path through the order-ideal lattice, and
+    placing x right after the ideal S puts x at rank |S| + 1.  So with f[S]
+    from ``ideal_levels`` and g[S] the same sum over the orderings of S's
+    complement, x's rank |S| + 1 collects f[S] * w(S, x) * g[S + x].  Unweighted,
+    f and g count orderings in exact ints.  Weighted, each level of f and of g
+    is divided by its own total; every term of one rank column then carries
+    the same scale, which dividing the column by its sum cancels, and a level
+    or column of no mass raises ZeroPosterior.
     """
-    k = len(items)
-    local_anc = [sum(1 << i for i, a in enumerate(items) if anc_masks[x] >> a & 1)
-                 for x in items]
-    levels = ideal_levels(local_anc)  # levels[s][S] = f[S] over the ideals of size s
-    steps = [(x, 1 << x, anc) for x, anc in enumerate(local_anc)]
-
+    k = len(anc_masks)
+    levels = ideal_levels(anc_masks, rows, prefixes)  # levels[s][S] = f[S] over the ideals of size s
+    steps = [(x, 1 << x, anc) for x, anc in enumerate(anc_masks)]
     counts = [[0] * k for _ in range(k)]
     g = {(1 << k) - 1: 1}
     for size in range(k - 1, -1, -1):
@@ -382,10 +397,101 @@ def _component_table(items: list[int], anc_masks: tuple[int, ...]) -> np.ndarray
             for x, bit, anc in steps:
                 if not ideal & bit and ideal & anc == anc:
                     rest = g[ideal | bit]
+                    if rows is not None:
+                        rest *= rows[x][(ideal & prefixes[x]).bit_count()]
                     g_ideal += rest
                     counts[x][size] += f * rest
             g[ideal] = g_ideal
-    return np.array([[n / g[0] for n in row] for row in counts])
+        if rows is not None:
+            total = sum(g[ideal] for ideal in levels[size])
+            if not total:
+                raise ZeroPosterior("observation has zero probability under the model")
+            for ideal in levels[size]:
+                g[ideal] /= total
+    if rows is None:  # every column sums to g[empty], the extension count
+        return np.array([[n / g[0] for n in row] for row in counts])
+    columns = [sum(column) for column in zip(*counts)]
+    if not all(columns):
+        raise ZeroPosterior("observation has zero probability under the model")
+    return np.array([[n / column for n, column in zip(row, columns)] for row in counts])
+
+
+def _components(anc_masks: tuple[int, ...]) -> list[list[int]]:
+    """The items of each connected component of the poset ``anc_masks`` reads."""
+    components: list[int] = []  # item bit masks
+    for b, mask in enumerate(anc_masks):
+        comp = mask | 1 << b
+        for other in [x for x in components if x & comp]:
+            components.remove(other)
+            comp |= other
+        components.append(comp)
+    return [_bits(comp) for comp in components]
+
+
+def _local_masks(items: list[int], anc_masks: tuple[int, ...]) -> list[int]:
+    """The ancestor masks of a component's items, bit i standing for ``items[i]``."""
+    return [sum(1 << i for i, a in enumerate(items) if anc_masks[x] >> a & 1) for x in items]
+
+
+# ---------------------------------------------------------------------------
+# Insertion models given an observation the bucket routes do not cover
+
+
+def _conditioned(obs: Observation | None, m: int) -> bool:
+    """Whether an insertion model given ``obs`` needs a poset solver: ``obs`` is
+    a poset or leaves some candidate out of its bucket layout."""
+    return obs is not None and (isinstance(obs, PartialOrder) or None in bucket_layout(obs, m))
+
+
+@lru_cache(maxsize=4096)
+def _ideal_route(sigma: Ranking, obs: Observation, m: int) -> bool:
+    """Whether ``_insertion_table`` is cheaper than the tracked-item DP: the
+    observation's lattice has at most min(``IDEAL_BUDGET``, m ** (cw + 1))
+    order ideals, the second bound being about the tracked-item DP's states
+    at cover width cw.  The lattice size is the product of the poset's
+    components' counts, each walk stopped at what the bound leaves it."""
+    limit = min(IDEAL_BUDGET, m ** (cover_width(sigma, obs) + 1))
+    anc_masks = ancestor_masks(obs, m)
+    components = _components(anc_masks)
+    count = 2 ** sum(len(items) == 1 for items in components)
+    for items in components:
+        if len(items) > 1:
+            try:
+                levels = ideal_levels(_local_masks(items, anc_masks), budget=limit // count)
+            except TooLarge:
+                return False
+            count *= sum(map(len, levels))
+    return count <= limit
+
+
+@lru_cache(maxsize=4096)
+def _insertion_table(model: RimModel | MallowsModel, obs: Observation, m: int) -> np.ndarray:
+    """table[c][j-1] = Pr(c at rank j) under an insertion model given ``obs``,
+    by ``_ideal_table`` over the observation's order ideals.
+
+    Placing x = sigma_i right after the ideal S inserts it at position
+    1 + |S & {sigma_1..sigma_i-1}| among the first i items, so the edge weighs
+    ``pi[i-1][|S & prefix|]`` and a ranking's path multiplies to its
+    probability.  Read-only: the cache hands the same array to every caller.
+    """
+    sigma, pi = model.sigma, model.pi
+    step = {x: i for i, x in enumerate(sigma)}
+    rows = [pi[step[x]] for x in range(m)]
+    prefixes = [sum(1 << y for y in sigma[:step[x]]) for x in range(m)]
+    table = _ideal_table(ancestor_masks(obs, m), rows, prefixes)
+    table.setflags(write=False)
+    return table
+
+
+# ---------------------------------------------------------------------------
+# Uniform posets: one table per connected component, interleaved over the ranks
+
+
+def _component_table(items: list[int], anc_masks: tuple[int, ...]) -> np.ndarray:
+    """table[x][j-1] = fraction of a connected component's linear extensions
+    placing its x-th item (in ``items`` order) at rank j among its k items,
+    counted over its order ideals in exact ints by ``_ideal_table``."""
+    return _ideal_table(_local_masks(items, anc_masks))
 
 
 @lru_cache(maxsize=4096)
@@ -400,16 +506,8 @@ def _uniform_poset_table(m: int, anc_masks: tuple[int, ...]) -> np.ndarray:
     interleave, and an isolated item is uniform.  A component with more than
     ``IDEAL_BUDGET`` ideals raises TooLarge.
     """
-    components: list[int] = []  # item bit masks
-    for b, mask in enumerate(anc_masks):
-        comp = mask | 1 << b
-        for other in [x for x in components if x & comp]:
-            components.remove(other)
-            comp |= other
-        components.append(comp)
     table = np.empty((m, m))
-    for comp in components:
-        items = _bits(comp)
+    for items in _components(anc_masks):
         if len(items) == 1:
             table[items] = 1.0 / m
         else:
@@ -423,6 +521,21 @@ def uniform_poset_distribution(c: int, p: PartialOrder, m: int) -> RankDistribut
 
 # ---------------------------------------------------------------------------
 # Dispatch
+
+
+def shared_table(voter: Voter, m: int) -> np.ndarray | None:
+    """The (m, m) table ``rep_dispatch`` reads every row of ``voter`` from, built
+    and cached on the first call; None where its route solves each candidate
+    on its own."""
+    model, obs = voter.model, voter.observation
+    if model is None:
+        return _uniform_poset_table(m, ancestor_masks(obs, m)) \
+            if isinstance(obs, PartialOrder) else None
+    validate_reference(model.sigma, m)
+    if isinstance(model, RsmRankingModel) or not _conditioned(obs, m) \
+            or not _ideal_route(model.sigma, obs, m):
+        return None
+    return _insertion_table(model, obs, m)
 
 
 def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
@@ -442,8 +555,9 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
             raise Unsupported("no exact solver for a selection model with an observation")
         return rsm_rank_distribution(c, model)
 
-    if obs is not None and (isinstance(obs, PartialOrder) or None in bucket_layout(obs, m)):
-        return rep_rim_poset(c, model, obs)
+    if _conditioned(obs, m):  # the ideal table, or past its bound the tracked-item DP
+        table = shared_table(voter, m)
+        return rep_rim_poset(c, model, obs) if table is None else table[c].copy()
     if isinstance(model, MallowsModel):  # the shared row of the target's bucket
         return rep_mallows_partitioned(c, model, obs, m)
     return rep_rim(c, model, obs)

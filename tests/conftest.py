@@ -164,11 +164,12 @@ def random_supported_profile(rng, m_range=(3, 6), n_range=(1, 5), world_budget=2
 
 
 def wide_second_group_profile():
-    """A uniform voter of weight 2, then a Mallows voter whose poset has cover
-    width 7, past the tracked-item DP's cap, so solving it raises
-    CoverWidthExceeded.  ``mew_parallel(workers=2)`` deals that second group to
-    its forked child."""
-    m = 9
+    """A uniform voter of weight 2, then a Mallows voter whose poset puts c1..c7
+    above c24 and leaves the rest unrelated: cover width 7, past the tracked-item
+    DP's cap, and 129 * 2^16 order ideals, past the ideal DP's budget, so
+    solving it raises CoverWidthExceeded.  ``mew_parallel(workers=2)`` deals
+    that second group to its forked child."""
+    m = 24
     wide = PartialOrder([(i, m - 1) for i in range(7)])
-    return Profile(candidate_set(*"abcdefghi"),
+    return Profile(candidate_set(*(f"c{i + 1}" for i in range(m))),
                    [Voter(None, None, weight=2), Voter(MallowsModel(tuple(range(m)), 0.5), wide)])

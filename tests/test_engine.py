@@ -405,6 +405,29 @@ def test_parallel_splits_a_single_group_across_both_shares(monkeypatch, tmp_path
     assert res.bounds == {} and res.pruned == ()
 
 
+def test_parallel_builds_a_split_groups_table_once_before_forking(monkeypatch, tmp_path):
+    rep = importlib.import_module("mewvote.rep")
+    log, build = tmp_path / "builds", rep._ideal_table
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(rep, "_ideal_table", logged)
+    m = 7
+    # one component, so one table build; cover width 6, so the Mallows voter's too
+    wide = PartialOrder([(i, m - 1) for i in range(m - 1)])
+    for voter in (Voter(None, wide), Voter(MallowsModel(tuple(range(m)), 0.5), wide)):
+        prof = Profile(candidate_set(*"abcdefg"), [voter])
+        rule = make_rule("borda", m)
+        seq = mew(prof, rule, pruning=False)
+        log.unlink()
+        rep.clear_caches()
+        assert mew_parallel(prof, rule, workers=4).expected_scores == seq.expected_scores
+        assert log.read_text().split() == [str(os.getpid())], voter
+
+
 def test_parallel_winners_match_pruned_sequential():
     from mewvote import GenSpec, generate
 

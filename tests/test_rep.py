@@ -537,6 +537,106 @@ def test_cover_width_cap():
     rep_rim_poset(0, model, wide, cw_cap=8)
 
 
+# --- insertion models given a poset: one table over the order ideals -------
+
+def _random_conditioned_voter(rng, m, trial):
+    """A Mallows (phi 0.2, 0.5 or 1) or RIM voter with zeros in its rows, given a
+    poset, a partial chain or a partial partition with missing items."""
+    sigma = random_ranking(rng, m)
+    if trial % 2:
+        model = MallowsModel(sigma, (0.2, 0.5, 1.0)[trial // 2 % 3])
+    else:
+        model = RimModel(sigma, _rows_with_zeros(rng, m))
+    kind = trial % 3
+    if kind == 0:
+        obs = random_poset(rng, m, density=0.4)
+    elif kind == 1:
+        obs = PartialChain(random_ranking(rng, m)[:int(rng.integers(1, m))])
+    else:
+        obs = random_observation(rng, m, "pp")
+    return model, obs
+
+
+def _rows_or_error(solve, m):
+    try:
+        return np.array([solve(c) for c in range(m)])
+    except ZeroPosterior:
+        return ZeroPosterior
+
+
+def test_ideal_table_rows_match_the_tracked_item_dp():
+    rng = np.random.default_rng(31)
+    solved = zero = 0
+    for trial in range(360):
+        m = int(rng.integers(3, 9))
+        model, obs = _random_conditioned_voter(rng, m, trial)
+        want = _rows_or_error(lambda c: rep_rim_poset(c, model, obs, cw_cap=m), m)
+        got = _rows_or_error(lambda c: rep._insertion_table(model, obs, m)[c], m)
+        if want is ZeroPosterior:
+            assert got is ZeroPosterior, (model, obs)
+            zero += 1
+        else:
+            assert np.allclose(got, want, rtol=0, atol=1e-12), (model, obs)
+            solved += 1
+    assert solved >= 300 and zero
+
+
+def test_both_insertion_poset_routes_match_the_oracle():
+    rng = np.random.default_rng(32)
+    zero = 0
+    for trial in range(150):
+        m = int(rng.integers(3, 8))
+        model, obs = _random_conditioned_voter(rng, m, trial)
+        voter = Voter(model, obs)
+        want = _rows_or_error(lambda c: oracle_rank_distribution(voter, c, m), m)
+        for solve in (lambda c: rep_rim_poset(c, model, obs, cw_cap=m),
+                      lambda c: rep._insertion_table(model, obs, m)[c]):
+            got = _rows_or_error(solve, m)
+            if want is ZeroPosterior:
+                assert got is ZeroPosterior, (model, obs)
+            else:
+                assert np.allclose(got, want, rtol=0, atol=1e-12), (model, obs)
+        zero += want is ZeroPosterior
+    assert zero
+
+
+def test_insertion_posets_take_the_cheaper_route(monkeypatch):
+    calls = {"rep_rim_poset": 0, "_insertion_table": 0}
+
+    def count(name):
+        original = getattr(rep, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(rep, name, counted)
+
+    count("rep_rim_poset")
+    count("_insertion_table")
+    # one pair among ten items: cover width 1, 3 * 2^8 = 768 ideals > 10^2
+    m = 10
+    sparse = Voter(MallowsModel(tuple(range(m)), 0.5), PartialOrder([(3, 7)]))
+    for c in range(m):
+        rep_dispatch(c, sparse, m)
+    assert calls == {"rep_rim_poset": m, "_insertion_table": 0}
+    # c1..c7 above c9: cover width 7, past the tracked-item DP's cap, and 258 ideals
+    m = 9
+    wide = Voter(MallowsModel(tuple(range(m)), 0.5), PartialOrder([(i, m - 1) for i in range(7)]))
+    calls.update(dict.fromkeys(calls, 0))
+    for c in range(m):
+        rep_dispatch(c, wide, m)
+    assert calls == {"rep_rim_poset": 0, "_insertion_table": m}
+
+
+def test_a_voter_past_the_cover_width_cap_solves_by_its_order_ideals():
+    m = 9
+    model = MallowsModel(tuple(range(m)), 0.5)
+    wide = PartialOrder([(i, m - 1) for i in range(7)])
+    for c in range(m):
+        assert np.allclose(rep_dispatch(c, Voter(model, wide), m),
+                           rep_rim_poset(c, model, wide, cw_cap=7), rtol=0, atol=1e-12)
+
+
 # --- conditioned on truncated rankings -------------------------------------
 
 def test_truncated_conditioning_fixed_positions():
