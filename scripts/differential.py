@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record MEW results over a fixed profile matrix, or compare two such records.
+"""Record MEW and MPW results over a fixed profile matrix, or compare two such records.
 
   python3 scripts/differential.py [--quick] [--out results.json]
   python3 scripts/differential.py --compare A.json B.json
@@ -14,13 +14,20 @@ bounds as ``float.hex`` strings, the pruned candidates, and the class name of
 any error raised in their place.  Each plurality case also holds ``rows``:
 every voter's ``rep_dispatch`` row of every candidate, in profile order, as
 ``float.hex`` strings, or the class name of the error the voter raises.
+Each m = 5, n = 6 case under plurality, veto and 2-approval, and each
+hand-built case with m <= 4, also holds ``mpw``: the winners, ``win_probs``
+as ``float.hex`` strings and ``worlds_explored``, or the error class.  So
+both MPW routes run, rank marginals (plurality, veto) and completion
+enumeration (2-approval).  Borda is left out, as its completions took minutes
+over those cases, and so is n = 40, whose plurality cases took two minutes.
 
 ``--compare`` prints, for each run setting and field, whether the two records
 are bit-identical there and otherwise the largest difference, plus each
 record's count of bounds intervals with lo >= hi; the same verdict on the
-``rows`` follows on stderr.  It exits 1 if any winner set, pruned set or error
-class (of a run or of a voter's rows) differs, or if the two matrices differ.
-Run it with ``PYTHONPATH`` at the ``src`` of the checkout to record.
+``rows`` follows on stderr.  It exits 1 if any winner set, pruned set,
+``worlds_explored`` or error class (of a run or of a voter's rows) differs,
+or if the two matrices differ.  Run it with ``PYTHONPATH`` at the ``src`` of
+the checkout to record.
 """
 
 import argparse
@@ -33,6 +40,7 @@ from mewvote.generators import KINDS
 from mewvote.rep import rep_dispatch
 
 RULES = ("plurality", "veto", "k-approval:2", "borda")
+MPW_RULES = ("plurality", "veto", "k-approval:2")  # Borda's completions take minutes
 RUNS = {
     "mew pruning=True grouping=True": lambda p, r: mv.mew(p, r),
     "mew pruning=True grouping=False": lambda p, r: mv.mew(p, r, grouping=False),
@@ -43,11 +51,17 @@ RUNS = {
     "mew_parallel workers=2": lambda p, r: mv.mew_parallel(p, r, workers=2),
     "mew_parallel workers=4": lambda p, r: mv.mew_parallel(p, r, workers=4),
     "mew_parallel workers=8": lambda p, r: mv.mew_parallel(p, r, workers=8),
+    "mpw": lambda p, r: mv.mpw(p, r),  # on the cases the module docstring names
 }
-EXACT_FIELDS = ("winners", "pruned", "error")  # any difference here fails the comparison
+# each run's (exact, float) fields: an exact field's difference fails the comparison
+FIELDS = {**dict.fromkeys(RUNS, (("winners", "pruned", "error"), ("scores", "bounds"))),
+          "mpw": (("winners", "worlds_explored", "error"), ("win_probs",))}
 
 
-def record(result: mv.MewResult) -> dict:
+def record(result: mv.MewResult | mv.MpwResult) -> dict:
+    if isinstance(result, mv.MpwResult):
+        return {"winners": list(result.winners), "worlds_explored": result.worlds_explored,
+                "error": None, "win_probs": {c: float.hex(p) for c, p in result.win_probs.items()}}
     return {"winners": list(result.winners), "pruned": list(result.pruned), "error": None,
             "scores": {c: float.hex(s) for c, s in result.expected_scores.items()},
             "bounds": {c: [float.hex(lo), float.hex(hi)]
@@ -65,19 +79,16 @@ def one_voter(m: int, model, observation) -> Callable[[], mv.Profile]:
     return lambda: mv.Profile(candidates, [mv.Voter(model, observation)])
 
 
-# Each raises the error it is named after on at least one run setting.
+# Each (m, model, observation) raises the error it is named after on at least one run setting.
 ERROR_CASES = {
     "error CoverWidthExceeded: mallows m=24, c1..c7 above c24":
-        one_voter(24, mv.MallowsModel(tuple(range(24)), 0.5),
-                  mv.PartialOrder([(i, 23) for i in range(7)])),
+        (24, mv.MallowsModel(tuple(range(24)), 0.5), mv.PartialOrder([(i, 23) for i in range(7)])),
     "error Unsupported: selection model given a chain":
-        one_voter(4, mv.mallows_to_rsm(mv.MallowsModel((0, 1, 2, 3), 0.5)),
-                  mv.PartialChain((1, 0))),
+        (4, mv.mallows_to_rsm(mv.MallowsModel((0, 1, 2, 3), 0.5)), mv.PartialChain((1, 0))),
     "error ZeroPosterior: rim ranking c1 c2 c3 given c3 on top":
-        one_voter(3, mv.RimModel((0, 1, 2), [[1], [0, 1], [0, 0, 1]]),
-                  mv.TruncatedRanking((2,), ())),
+        (3, mv.RimModel((0, 1, 2), [[1], [0, 1], [0, 0, 1]]), mv.TruncatedRanking((2,), ())),
     "error TooLarge: uniform m=19, c1 above the rest":
-        one_voter(19, None, mv.PartialOrder([(0, i) for i in range(1, 19)])),
+        (19, None, mv.PartialOrder([(0, i) for i in range(1, 19)])),
 }
 
 
@@ -88,28 +99,31 @@ def voter_rows(voter: mv.Voter, m: int) -> list | str:
         return type(exc).__name__
 
 
-def run_case(make_profile: Callable[[], mv.Profile], rule_spec: str) -> dict:
+def run_case(make_profile: Callable[[], mv.Profile], rule_spec: str, with_mpw: bool) -> dict:
+    names = [name for name in RUNS if with_mpw or name != "mpw"]
     try:
         profile = make_profile()
         rule = mv.parse_rule(rule_spec, profile.m)
     except Exception as exc:  # the generator's own error is recorded for every run
-        return {name: {"error": type(exc).__name__} for name in RUNS}
+        return {name: {"error": type(exc).__name__} for name in names}
     runs = {}
     if rule_spec == "plurality":  # the rows do not depend on the rule
         runs["rows"] = {"voters": [voter_rows(v, profile.m) for v in profile.voters]}
-    for name, solve in RUNS.items():
+    for name in names:
         try:
-            runs[name] = record(solve(profile, rule))
+            runs[name] = record(RUNS[name](profile, rule))
         except Exception as exc:
             runs[name] = {"error": type(exc).__name__}
     return runs
 
 
 def run_matrix(quick: bool) -> dict:
-    cases = {f"{kind} m={m} n={n} seed={seed} {rule}": (generated(kind, m, n, seed), rule)
+    cases = {f"{kind} m={m} n={n} seed={seed} {rule}":
+             (generated(kind, m, n, seed), rule, m == 5 and n == 6 and rule in MPW_RULES)
              for kind in KINDS for m in (5, 8) for n in ((6,) if quick else (6, 40))
              for seed in range(3) for rule in RULES}
-    cases.update({f"{name} plurality": (make, "plurality") for name, make in ERROR_CASES.items()})
+    cases.update({f"{name} plurality": (one_voter(*voter), "plurality", voter[0] <= 4)
+                  for name, voter in ERROR_CASES.items()})
     return {key: run_case(*case) for key, case in cases.items()}
 
 
@@ -119,8 +133,8 @@ def inverted(doc: dict) -> int:
 
 
 def flat(field: str, values: dict | None) -> dict:
-    """A scores map as it is, a bounds map as one entry per interval end."""
-    if field == "scores" or not values:
+    """A scores or win_probs map as it is, a bounds map as one entry per interval end."""
+    if field != "bounds" or not values:
         return values or {}
     return {(c, end): v for c, pair in values.items() for end, v in zip(("lo", "hi"), pair)}
 
@@ -130,13 +144,14 @@ def compare(a: dict, b: dict) -> int:
         print(f"the matrices differ: {len(a.keys() ^ b.keys())} cases in one record only")
         return 1
     failed = False
-    for name in RUNS:
-        for field in (*EXACT_FIELDS, "scores", "bounds"):
-            values = [(case[name].get(field), b[key][name].get(field)) for key, case in a.items()]
+    for name, (exact, floats) in FIELDS.items():
+        for field in (*exact, *floats):
+            values = [(case.get(name, {}).get(field), b[key].get(name, {}).get(field))
+                      for key, case in a.items()]
             differing = sum(x != y for x, y in values)
             if not differing:
                 verdict = "bit-identical"
-            elif field in EXACT_FIELDS:
+            elif field in exact:
                 verdict, failed = f"DIFFERS in {differing} cases", True
             else:
                 pairs = [(flat(field, x), flat(field, y)) for x, y in values]

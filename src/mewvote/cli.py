@@ -28,6 +28,7 @@ def _add_profile_rule(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", required=True, help="profile document path")
     p.add_argument("--rule", required=True,
                    help="plurality | veto | borda | k-approval:K | custom:s1,...,sm")
+    p.add_argument("--output", choices=("table", "json"), default="table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,16 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-grouping", action="store_true")
     p.add_argument("--parallel", type=int, metavar="W", default=0,
                    help="worker processes, this one included (disables pruning; 0 = sequential)")
-    p.add_argument("--output", choices=("table", "json"), default="table")
 
     p = sub.add_parser("mpw", help="most probable winner")
     _add_profile_rule(p)
     p.add_argument("--state-cap", type=int, default=STATE_CAP)
-    p.add_argument("--output", choices=("table", "json"), default="table")
 
     p = sub.add_parser("oracle", help="brute-force expected scores and win probabilities")
     _add_profile_rule(p)
-    p.add_argument("--output", choices=("table", "json"), default="table")
 
     p = sub.add_parser("gen", help="generate a synthetic profile")
     p.add_argument("kind", choices=KINDS)
@@ -85,14 +83,7 @@ def _cmd_mew(args) -> int:
         result = mew(profile, rule, pruning=not args.no_pruning,
                      grouping=not args.no_grouping)
     if args.output == "json":
-        doc = {
-            "winners": list(result.winners),
-            "expected_scores": result.expected_scores,
-            "bounds": {k: list(v) for k, v in result.bounds.items()},
-            "pruned": list(result.pruned),
-            "stats": dataclasses.asdict(result.stats),
-        }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(dataclasses.asdict(result), indent=2))
     else:
         print("winners: " + " ".join(result.winners))
         _print_scores("expected_score", result.expected_scores)
@@ -110,12 +101,7 @@ def _cmd_mpw(args) -> int:
     rule = parse_rule(args.rule, profile.m)
     result = mpw(profile, rule, state_cap=args.state_cap)
     if args.output == "json":
-        print(json.dumps({
-            "winners": list(result.winners),
-            "win_probs": result.win_probs,
-            "worlds_explored": result.worlds_explored,
-            "seconds": result.seconds,
-        }, indent=2))
+        print(json.dumps(dataclasses.asdict(result), indent=2))
     else:
         print("winners: " + " ".join(result.winners))
         _print_scores("win_prob", result.win_probs)

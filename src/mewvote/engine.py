@@ -38,8 +38,8 @@ from .profiles import Profile, Voter
 from .rep import closed_form, rep_dispatch, shared_table
 from .rules import ScoringRule, check_rule_size
 
+# the tie tolerance, and the pruning margin too: a narrower margin could prune a co-winner
 WINNER_REL_TOL = 1e-9
-PRUNE_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def _solve(profile: Profile, rule: ScoringRule, groups: list[tuple[Voter, int]],
     while True:
         if pruning and k >= first:  # a bound holds once those groups are all in
             top = max(exact[c] + lo[k][c] for c in alive)
-            eps = PRUNE_REL_TOL * max(1.0, abs(top))
+            eps = WINNER_REL_TOL * max(1.0, abs(top))
             solved.update((c, k) for c in alive if exact[c] + hi[k][c] < top - eps)
             alive -= solved.keys()
         if k == len(order) or len(alive) == 1:  # only pruning stops early, since m >= 2

@@ -46,7 +46,11 @@ def _check_rows(pi, lengths):
 
 
 @dataclass(frozen=True)
-class RimModel:
+class _StepModel:
+    """A reference ranking and one probability row per step.  The two step
+    models are sibling subclasses, each a frozen dataclass of its own (so no
+    attribute can be set), neither an instance of the other, and equal fields
+    of different classes compare unequal."""
     sigma: Ranking
     pi: tuple[tuple[float, ...], ...]
 
@@ -54,28 +58,25 @@ class RimModel:
         object.__setattr__(self, "sigma", tuple(sigma))
         object.__setattr__(self, "pi", tuple(tuple(float(p) for p in row) for row in pi))
         if check:
-            _check_rows(self.pi, [i + 1 for i in range(len(self.sigma))])
+            _check_rows(self.pi, self._row_lengths(len(self.sigma)))
 
     @property
     def m(self) -> int:
         return len(self.sigma)
 
 
-@dataclass(frozen=True)
-class RsmRankingModel:
-    sigma: Ranking
-    pi: tuple[tuple[float, ...], ...]
+@dataclass(frozen=True, init=False)
+class RimModel(_StepModel):
+    @staticmethod
+    def _row_lengths(m: int) -> list[int]:  # row i inserts among the first i items
+        return [i + 1 for i in range(m)]
 
-    def __init__(self, sigma, pi, check: bool = True):
-        object.__setattr__(self, "sigma", tuple(sigma))
-        object.__setattr__(self, "pi", tuple(tuple(float(p) for p in row) for row in pi))
-        if check:
-            m = len(self.sigma)
-            _check_rows(self.pi, [m - i for i in range(m)])
 
-    @property
-    def m(self) -> int:
-        return len(self.sigma)
+@dataclass(frozen=True, init=False)
+class RsmRankingModel(_StepModel):
+    @staticmethod
+    def _row_lengths(m: int) -> list[int]:  # row i selects among the m - i + 1 left
+        return [m - i for i in range(m)]
 
 
 @dataclass(frozen=True)
@@ -184,15 +185,9 @@ def mallows_probability(r: Ranking, model: MallowsModel) -> float:
     return rim_probability(r, model)
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def sample(model, rng) -> Ranking:
     """Draw one ranking; deterministic for a given seed (PCG64 stream)."""
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(rng)  # a Generator comes back as it is
     if isinstance(model, (MallowsModel, RimModel)):
         out: list[int] = []
         pi = model.pi

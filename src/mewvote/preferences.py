@@ -197,28 +197,24 @@ def validate(structure, candidates: CandidateSet | int) -> None:
             check_candidate(a, m)
             check_candidate(b, m)
         structure.closure  # raises CycleDetected on cycles
-    elif isinstance(structure, tuple):  # a plain ranking
-        if sorted(structure) != list(range(m)):
-            raise ValidationError("ranking is not a permutation of all candidates")
     else:
         _bucket_layout(structure, m)
 
 
-def linear_extensions(obs: Observation | None, candidates: CandidateSet | int,
-                      cap: int = COMPLETION_CAP) -> list[Ranking]:
+def linear_extensions(obs: Observation | None, candidates: CandidateSet | int) -> list[Ranking]:
     """All rankings consistent with any observation or None, in lexicographic index order.
 
     A depth-first walk of the order-ideal lattice that places an item once its
     ancestors are placed, smallest index first, so the cost follows the number
-    of extensions, not m!.  More than ``cap`` of them, counted first by
+    of extensions, not m!.  More than ``COMPLETION_CAP`` of them, counted first by
     ``ideal_levels``, raise TooLarge: counting them is #P-complete.
     """
     m = candidates if isinstance(candidates, int) else candidates.m
     anc_masks = ancestor_masks(obs, m)
     full = (1 << m) - 1
     count = ideal_levels(anc_masks)[m][full]
-    if count > cap:
-        raise TooLarge(f"{count} linear extensions exceed cap {cap}")
+    if count > COMPLETION_CAP:
+        raise TooLarge(f"{count} linear extensions exceed cap {COMPLETION_CAP}")
     steps = [(x, 1 << x, anc) for x, anc in enumerate(anc_masks)]
     out: list[Ranking] = []
 

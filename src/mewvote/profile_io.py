@@ -47,8 +47,7 @@ def _observation_to_dict(obs, ids, m) -> dict:
         return {"type": "poset", "pairs": [[ids[a], ids[b]] for a, b in pairs]}
     if isinstance(obs, PartialChain):
         tag = "ranking" if len(obs.chain) == m else "chain"
-        key = "ranking" if tag == "ranking" else "chain"
-        return {"type": tag, key: _names(obs.chain, ids)}
+        return {"type": tag, tag: _names(obs.chain, ids)}
     if isinstance(obs, PartitionedPreference):
         buckets = [_names(sorted(b), ids) for b in obs.buckets]
         if obs.is_fully_partitioned(m):

@@ -2,48 +2,37 @@
 
 Every solver returns the full rank distribution of one candidate as a numpy
 vector indexed by rank - 1.  ``rep_dispatch`` routes a voter (generation-step
-model plus optional observation) to the cheapest applicable solver:
+model plus optional observation) through three branches, in this order:
 
-  - ``rep_uniform`` for the uniform model with no observation or with ordered
-    buckets over some of the candidates (partitioned preferences, partial
-    chains, truncated rankings), the voters ``closed_form`` names: one closed
-    form, ``_uniform_row``, built once per bucket window of
-    ``preferences.bucket_layout`` and m, and shared by every voter and candidate;
-  - for uniform posets at any m, a table built per connected component of
-    the poset by one counting DP over the component's order ideals, bounded
-    by ``IDEAL_BUDGET`` ideals, and spread over the m ranks by a
-    hypergeometric interleave;
-  - one windowed insertion-position dynamic program, ``rep_rim``, for
-    insertion models (``RimModel``) with no observation or with one whose
-    bucket layout places all m candidates (a fully partitioned preference, a
-    truncated ranking or a complete chain): each step restricts the incoming
-    item to its bucket's window;
-  - for Mallows in those two cases, one route, ``rep_mallows_partitioned``:
-    each bucket (all m candidates without an observation) is arranged by a
-    Mallows model with the same phi, so the target's rank row depends only
-    on phi, its bucket's size and its index among the bucket's items in
-    reference order.  That row, ``_mallows_rank_row``, is solved once by
-    ``rep_rim`` and shared by every voter and candidate;
-  - a selection dynamic program for ranking selection models;
-  - for insertion models given any other observation (a poset, or buckets
-    that leave some candidates out), one of two DPs over the observation's
-    ancestor masks.  ``_insertion_table`` walks the observation's lattice of
-    order ideals once, forward and backward, and gives every candidate's row;
-    it is cached per (model, observation, m).  The tracked-item DP,
-    ``rep_rim_poset``, runs per candidate at a cost exponential in the
-    observation's cover width cw.  A voter takes the first when its lattice
-    has at most min(``IDEAL_BUDGET``, m ** (cw + 1)) ideals, counted as the
-    product of the components' counts, and the second otherwise; only there
-    does the cover-width cap bind.  A ``MallowsModel`` reads its insertion
-    rows as ``pi``, so every insertion solver takes it as it is.
+  1. the closed form ``rep_uniform`` for the voters ``closed_form`` names, the
+     uniform model with no observation or with ordered buckets over some of
+     the candidates: one row, ``_uniform_row``, per bucket window of
+     ``preferences.bucket_layout`` and m, shared by every voter and candidate;
+  2. a row of ``shared_table(voter, m)``, the one place that decides whether
+     a voter has a table.  A uniform poset's table is counted per connected
+     component over the component's order ideals (at most ``IDEAL_BUDGET``)
+     and spread over the m ranks by a hypergeometric interleave.  An insertion
+     model given an observation that needs a poset solver (a poset, or
+     buckets that leave some candidates out) has ``_insertion_table``, one
+     forward and backward walk of the observation's lattice of order ideals,
+     when that lattice has at most min(``IDEAL_BUDGET``, m ** (cw + 1))
+     ideals, cw being the cover width;
+  3. a DP for the one candidate: the selection DP for a selection model with
+     no observation; the tracked-item DP ``rep_rim_poset``, exponential in cw
+     and the only route the cover-width cap binds, for an insertion model
+     whose observation needs a poset solver but has no table; otherwise, for
+     no observation or one whose bucket layout places all m candidates,
+     ``rep_mallows_partitioned`` for Mallows, which reads the row
+     ``_mallows_rank_row`` shared per (phi, bucket size, index in the bucket),
+     and the windowed insertion DP ``rep_rim`` for a ``RimModel``.
+     A ``MallowsModel`` reads its insertion rows as ``pi``, so every
+     insertion solver takes it as it is.
 
-``shared_table`` names the routes that read every row of a voter from one
-table (uniform posets and ``_insertion_table``), so ``mew_parallel`` can
-build it once before it splits the voter's candidates across processes.
-
-Conditioning on evidence with zero probability raises ZeroPosterior: the
-posterior is undefined there, and returning a default would poison expected
-scores silently; an observation of no known type raises Unsupported when a
+A candidate outside 0..m-1 raises UnknownCandidate in ``rep_dispatch``, and
+one the model does not hold raises it in each model solver.  Conditioning on
+evidence with zero probability raises ZeroPosterior: the posterior is
+undefined there, and returning a default would poison expected scores
+silently; an observation of no known type raises Unsupported when a
 ``Voter`` (from ``profiles``) is built on it, or in ``rank_bounds``.
 ``clear_caches`` empties the process-wide caches, so a timed solve starts cold.
 """
@@ -60,6 +49,7 @@ from .errors import (
     CoverWidthExceeded,
     RankOutOfRange,
     TooLarge,
+    UnknownCandidate,
     Unsupported,
     ValidationError,
     ZeroPosterior,
@@ -73,7 +63,6 @@ from .models import (
     validate_reference,
 )
 from .preferences import (
-    COMPLETION_CAP,
     IDEAL_BUDGET,
     Observation,
     PartialOrder,
@@ -145,6 +134,15 @@ def closed_form(voter: Voter) -> bool:
     return voter.model is None and not isinstance(voter.observation, PartialOrder)
 
 
+def _reference_index(c: int, sigma: Ranking) -> int:
+    """``c``'s 0-based place in a model's reference ranking; UnknownCandidate
+    when the model does not hold ``c``."""
+    try:
+        return sigma.index(c)
+    except ValueError:
+        raise UnknownCandidate(f"candidate {c!r} is not in the model's reference ranking") from None
+
+
 # ---------------------------------------------------------------------------
 # Insertion-model DP (all ranks of one candidate in a single pass)
 
@@ -168,7 +166,7 @@ def rep_rim(c: int, model: RimModel | MallowsModel,
     """
     sigma, pi = model.sigma, model.pi
     m = len(sigma)
-    i_c = sigma.index(c) + 1
+    i_c = _reference_index(c, sigma) + 1
     start = i_c
     if obs is not None:
         layout = bucket_layout(obs, m)
@@ -220,7 +218,7 @@ def rsm_rank_distribution(c: int, model: RsmRankingModel) -> RankDistribution:
     the mass of selecting the target itself at step ``i``.
     """
     m = model.m
-    alpha0 = model.sigma.index(c)
+    alpha0 = _reference_index(c, model.sigma)
     probs = np.zeros(m)
     q = {alpha0: 1.0}
     for i in range(1, m + 1):
@@ -272,6 +270,7 @@ def rep_rim_poset(c: int, model: RimModel | MallowsModel, obs: Observation,
     """
     sigma, pi = model.sigma, model.pi
     m = len(sigma)
+    _reference_index(c, sigma)
     anc_masks = ancestor_masks(obs, m)  # validates obs against m
     cw = cover_width(sigma, obs)
     if cw > cw_cap:
@@ -437,6 +436,7 @@ def _local_masks(items: list[int], anc_masks: tuple[int, ...]) -> list[int]:
 # Insertion models given an observation the bucket routes do not cover
 
 
+@lru_cache(maxsize=4096)  # asked twice per query that has no table
 def _conditioned(obs: Observation | None, m: int) -> bool:
     """Whether an insertion model given ``obs`` needs a poset solver: ``obs`` is
     a poset or leaves some candidate out of its bucket layout."""
@@ -516,6 +516,7 @@ def _uniform_poset_table(m: int, anc_masks: tuple[int, ...]) -> np.ndarray:
 
 
 def uniform_poset_distribution(c: int, p: PartialOrder, m: int) -> RankDistribution:
+    check_candidate(c, m)
     return _uniform_poset_table(m, ancestor_masks(p, m))[c].copy()
 
 
@@ -526,7 +527,7 @@ def uniform_poset_distribution(c: int, p: PartialOrder, m: int) -> RankDistribut
 def shared_table(voter: Voter, m: int) -> np.ndarray | None:
     """The (m, m) table ``rep_dispatch`` reads every row of ``voter`` from, built
     and cached on the first call; None where its route solves each candidate
-    on its own."""
+    on its own.  Checks a model's reference ranking against m."""
     model, obs = voter.model, voter.observation
     if model is None:
         return _uniform_poset_table(m, ancestor_masks(obs, m)) \
@@ -539,25 +540,22 @@ def shared_table(voter: Voter, m: int) -> np.ndarray | None:
 
 
 def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
-    """Route one (candidate, voter) query to the cheapest applicable solver."""
+    """Route one (candidate, voter) query: the closed form, a row of the shared
+    table, or a DP for this candidate alone (see the module docstring)."""
     check_candidate(c, m)
     model, obs = voter.model, voter.observation
-
     if closed_form(voter):
         return rep_uniform(c, obs, m)
-    if model is None:
-        return uniform_poset_distribution(c, obs, m)
-
-    validate_reference(model.sigma, m)
+    table = shared_table(voter, m)
+    if table is not None:
+        return table[c].copy()
 
     if isinstance(model, RsmRankingModel):
         if obs is not None:
             raise Unsupported("no exact solver for a selection model with an observation")
         return rsm_rank_distribution(c, model)
-
-    if _conditioned(obs, m):  # the ideal table, or past its bound the tracked-item DP
-        table = shared_table(voter, m)
-        return rep_rim_poset(c, model, obs) if table is None else table[c].copy()
+    if _conditioned(obs, m):  # past the ideal table's bound
+        return rep_rim_poset(c, model, obs)
     if isinstance(model, MallowsModel):  # the shared row of the target's bucket
         return rep_mallows_partitioned(c, model, obs, m)
     return rep_rim(c, model, obs)
@@ -567,18 +565,19 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
 # Posterior support: the observation's linear extensions, weighted by the model
 
 
-def voter_support(voter: Voter, m: int, cap: int = COMPLETION_CAP) -> list[tuple[Ranking, float]]:
+def voter_support(voter: Voter, m: int) -> list[tuple[Ranking, float]]:
     """All rankings with nonzero posterior probability for one voter.
 
     The linear extensions of the observation (all rankings without one),
     weighted by the generation-step model and renormalized.  More than
-    ``cap`` completions raise TooLarge before any ranking is built.
+    ``preferences.COMPLETION_CAP`` completions raise TooLarge before any
+    ranking is built.
     """
     model = voter.model
     if model is not None:
         validate_reference(model.sigma, m)
     support: list[tuple[Ranking, float]] = []
-    for r in linear_extensions(voter.observation, m, cap):
+    for r in linear_extensions(voter.observation, m):
         if model is None:
             w = 1.0
         elif isinstance(model, RsmRankingModel):

@@ -15,6 +15,8 @@ from conftest import (
     random_truncated,
     solver_caches,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mewvote.models as models
 import mewvote.rep as rep
@@ -22,6 +24,7 @@ from mewvote import (
     CoverWidthExceeded,
     GenSpec,
     MallowsModel,
+    MewError,
     PartialChain,
     PartialOrder,
     PartitionedPreference,
@@ -37,6 +40,7 @@ from mewvote import (
     ZeroPosterior,
     candidate_set,
     cover_width,
+    expected_score,
     generate,
     linear_extensions,
     make_rule,
@@ -448,6 +452,35 @@ def test_dispatch_rejects_out_of_range_candidates():
             for c in (0, 5):
                 with pytest.raises(UnknownCandidate):
                     rep_dispatch(c, Voter(model, obs), 10)
+
+
+_MALLOWS4 = MallowsModel((2, 0, 3, 1), 0.5)
+_CANDIDATE_SOLVERS = {  # every public per-candidate solver, on a voter over candidates 0..3
+    "rep_dispatch": lambda c: rep_dispatch(c, Voter(_MALLOWS4, PartialOrder([(0, 1)])), 4),
+    "expected_score": lambda c: expected_score(c, Voter(), make_rule("borda", 4)),
+    "rep_uniform": lambda c: rep_uniform(c, PartialChain((0, 1)), 4),
+    "uniform_poset_distribution":
+        lambda c: uniform_poset_distribution(c, PartialOrder([(0, 1)]), 4),
+    "rep_rim": lambda c: rep_rim(c, mallows_to_rim(_MALLOWS4)),
+    "rep_rim_truncated":
+        lambda c: rep_rim_truncated(c, _MALLOWS4, TruncatedRanking((2,), (1,))),
+    "rep_rim_poset": lambda c: rep_rim_poset(c, _MALLOWS4, PartialOrder([(0, 1)])),
+    "rep_mallows_partitioned":
+        lambda c: rep_mallows_partitioned(c, _MALLOWS4, PartitionedPreference([[0, 1], [2, 3]])),
+    "rsm_rank_distribution": lambda c: rsm_rank_distribution(c, mallows_to_rsm(_MALLOWS4)),
+    "rep_rsm": lambda c: rep_rsm(c, 1, mallows_to_rsm(_MALLOWS4)),
+    "rank_bounds": lambda c: rank_bounds(c, PartialOrder([(0, 1)]), 4),
+}
+
+
+@pytest.mark.parametrize("solver", list(_CANDIDATE_SOLVERS))
+def test_every_solver_rejects_a_candidate_it_does_not_hold(solver):
+    solve = _CANDIDATE_SOLVERS[solver]
+    for c in (-1, 4, 7):
+        with pytest.raises(UnknownCandidate):
+            solve(c)
+    for c in range(4):
+        solve(c)
 
 
 def test_voter_support_rejects_out_of_range_observations():
@@ -968,6 +1001,33 @@ def test_all_supported_combos_are_exercised_and_exact():
                 assert np.allclose(rep_dispatch(c, voter, m),
                                    oracle_rank_distribution(voter, c, m),
                                    atol=1e-9), combo
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6),
+       st.sampled_from(("uniform", "mallows", "rim", "rsm")),
+       st.sampled_from((None, *OBSERVATION_KINDS)))
+@settings(max_examples=1000, deadline=None)
+def test_dispatch_matches_the_oracle_on_every_model_and_observation(seed, m, model_kind, obs_kind):
+    rng = np.random.default_rng(seed)
+    if model_kind == "rim":  # zero entries make some observations impossible
+        model = RimModel(random_ranking(rng, m), _rows_with_zeros(rng, m))
+    else:
+        model = random_model(rng, m, model_kind)
+    voter = Voter(model, obs_kind and random_observation(rng, m, obs_kind))
+    if model_kind == "rsm" and voter.observation is not None:
+        want = Unsupported
+    else:
+        try:
+            want = np.array([oracle_rank_distribution(voter, c, m) for c in range(m)])
+        except ZeroPosterior:
+            want = ZeroPosterior
+    for c in range(m):
+        if isinstance(want, type):
+            with pytest.raises(MewError) as info:
+                rep_dispatch(c, voter, m)
+            assert info.type is want, (voter, c)
+        else:
+            assert np.allclose(rep_dispatch(c, voter, m), want[c], rtol=0, atol=1e-9), (voter, c)
 
 
 def test_rank_probability_equals_approval_score_difference():

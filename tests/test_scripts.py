@@ -58,7 +58,7 @@ def test_differential_run_compared_with_itself_is_bit_identical(tmp_path):
     errors = {run.get("error") for case in doc.values() for run in case.values()}
     assert errors == {None, "CoverWidthExceeded", "Unsupported", "ZeroPosterior", "TooLarge"}
     lines = run_script("differential.py", "--compare", str(record), str(record)).splitlines()
-    assert len(lines) == 8 * 5 + 1  # run settings x fields, and the inverted-interval count
+    assert len(lines) == 8 * 5 + 4 + 1  # MEW settings x fields, MPW's fields, inverted intervals
     assert all(line.endswith(" bit-identical") for line in lines[:-1]), lines
     assert lines[-1] == "bounds intervals with lo >= hi: 0 in A, 0 in B"
 
