@@ -16,7 +16,7 @@ import sys
 
 from . import bench as bench_mod
 from .engine import mew, mew_parallel
-from .errors import MewError, ParseError, TooLarge, Unsupported, ValidationError
+from .errors import MewError, TooLarge
 from .generators import GenSpec, KINDS, generate
 from .mpw import STATE_CAP, mpw
 from .oracle import oracle_expected_scores, oracle_mpw
@@ -74,9 +74,14 @@ def _print_scores(title: str, values: dict[str, float]) -> None:
         print(f"{title}[{name}] = {value:.12g}")
 
 
-def _cmd_mew(args) -> int:
+def _load(args):
+    """The profile and the rule a profile subcommand names."""
     profile = load_profile(args.profile)
-    rule = parse_rule(args.rule, profile.m)
+    return profile, parse_rule(args.rule, profile.m)
+
+
+def _cmd_mew(args) -> int:
+    profile, rule = _load(args)
     if args.parallel:  # a negative count reaches mew_parallel, which refuses it
         result = mew_parallel(profile, rule, workers=args.parallel)
     else:
@@ -97,8 +102,7 @@ def _cmd_mew(args) -> int:
 
 
 def _cmd_mpw(args) -> int:
-    profile = load_profile(args.profile)
-    rule = parse_rule(args.rule, profile.m)
+    profile, rule = _load(args)
     result = mpw(profile, rule, state_cap=args.state_cap)
     if args.output == "json":
         print(json.dumps(dataclasses.asdict(result), indent=2))
@@ -109,19 +113,15 @@ def _cmd_mpw(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    profile = load_profile(args.profile)
-    rule = parse_rule(args.rule, profile.m)
-    scores = oracle_expected_scores(profile, rule)
-    wins = oracle_mpw(profile, rule)
+    profile, rule = _load(args)
     ids = profile.candidates.ids
+    scores = dict(zip(ids, oracle_expected_scores(profile, rule)))
+    wins = dict(zip(ids, oracle_mpw(profile, rule)))
     if args.output == "json":
-        print(json.dumps({
-            "expected_scores": {ids[c]: scores[c] for c in range(profile.m)},
-            "win_probs": {ids[c]: wins[c] for c in range(profile.m)},
-        }, indent=2))
+        print(json.dumps({"expected_scores": scores, "win_probs": wins}, indent=2))
     else:
-        _print_scores("expected_score", {ids[c]: scores[c] for c in range(profile.m)})
-        _print_scores("win_prob", {ids[c]: wins[c] for c in range(profile.m)})
+        _print_scores("expected_score", scores)
+        _print_scores("win_prob", wins)
     return 0
 
 
@@ -163,8 +163,7 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ValidationError, Unsupported, MewError, OSError,
-            json.JSONDecodeError) as exc:
+    except (MewError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,6 +36,8 @@ ROW_SUM_TOL = 1e-12
 
 
 def _check_rows(pi, lengths):
+    if len(pi) != len(lengths):
+        raise ValidationError(f"expected {len(lengths)} rows, one per item, got {len(pi)}")
     for i, row in enumerate(pi):
         if len(row) != lengths[i]:
             raise ValidationError(f"row {i + 1} must have {lengths[i]} entries, got {len(row)}")

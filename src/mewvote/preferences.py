@@ -341,40 +341,36 @@ def ancestor_masks(obs: Observation | None, m: int) -> tuple[int, ...]:
     return tuple(anc_masks)
 
 
-def ideal_levels(anc_masks: tuple[int, ...] | list[int], rows=None, prefixes=None,
+def ideal_levels(anc_masks: tuple[int, ...] | list[int], edges=None,
                  budget: int = IDEAL_BUDGET) -> list[dict[int, int | float]]:
     """levels[s][S] = orderings of the order ideal S of size s, so levels[k][full]
     counts the linear extensions.  Item x (bit x) extends ideal S when S holds
     ``anc_masks[x]``.  More than ``budget`` ideals raise TooLarge.
 
-    Given an insertion model's ``rows`` and ``prefixes`` (the bit mask of the
-    items inserted before x), placing x right after S instead weighs
-    ``rows[x][|S & prefixes[x]|]``, x's insertion probability at that
-    position, in floats.  Each weighted level is divided by its own total, so
-    no level underflows; a level of no mass raises ZeroPosterior.
+    Given an insertion model's ``edges``, one ``(row, prefix)`` pair per item
+    (x's insertion row and the bit mask of the items inserted before x),
+    placing x right after S instead weighs ``row[|S & prefix|]``, x's
+    insertion probability at that position, in floats.  Each weighted level is
+    divided by its own total, so no level underflows; a level of no mass
+    raises ZeroPosterior.
     """
     k = len(anc_masks)
-    steps = [(1 << x, anc) for x, anc in enumerate(anc_masks)]
-    edges = None if rows is None else {1 << x: edge for x, edge in enumerate(zip(rows, prefixes))}
+    steps = [(1 << x, anc, edges and edges[x]) for x, anc in enumerate(anc_masks)]
     levels = [{0: 1}]
     seen = 1
     for _ in range(k):
         nxt: dict[int, int | float] = {}
         for ideal, f in levels[-1].items():
-            for bit, anc in steps:
+            for bit, anc, edge in steps:
                 if not ideal & bit and ideal & anc == anc:
-                    if edges is not None:
-                        row, pre = edges[bit]
-                        f_edge = f * row[(ideal & pre).bit_count()]
-                    else:
-                        f_edge = f
+                    f_edge = f * edge[0][(ideal & edge[1]).bit_count()] if edge else f
                     nxt[ideal | bit] = nxt.get(ideal | bit, 0) + f_edge
             if seen + len(nxt) > budget:
                 raise TooLarge(f"a poset over {k} items has at least "
                                f"{seen + len(nxt)} order ideals, past the budget "
                                f"of {budget}")
         seen += len(nxt)
-        if rows is not None:
+        if edges:
             total = sum(nxt.values())
             if not total:
                 raise ZeroPosterior("observation has zero probability under the model")

@@ -117,8 +117,7 @@ def _parse_model(doc, cand: CandidateSet):
 def _parse_observation(doc, cand: CandidateSet):
     kind = doc.get("type")
     if kind == "poset":
-        pairs = [_indices(pair, cand) for pair in doc.get("pairs", [])]
-        return PartialOrder(pairs) if pairs else None
+        return PartialOrder([_indices(pair, cand) for pair in doc.get("pairs", [])])
     if kind in ("ranking", "chain"):
         items = doc["ranking"] if kind == "ranking" else doc["chain"]
         chain = PartialChain(_indices(items, cand))
@@ -235,6 +234,4 @@ def ratings_to_partitions(rows, top_m: int, mode: str = "partial") -> Profile:
         buckets = [sorted(by_rating[r]) for r in sorted(by_rating, reverse=True)]
         missing = [cand.index_of(item) for item in kept if item not in ratings]
         voters.append(Voter(None, PartitionedPreference(buckets, missing)))
-    if not voters:
-        raise EmptyInput("no voter rated any kept item")
     return Profile(cand, voters)

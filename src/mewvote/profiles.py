@@ -53,8 +53,9 @@ class Profile:
                     validate_reference(v.model.sigma, m)
                 if v.observation is not None:
                     validate(v.observation, m)
-            except ValidationError as exc:
-                raise ValidationError(f"voter {i}: {exc}") from exc
+            except ValidationError as exc:  # keeps the subclass, as parse_profile does
+                exc.args = (f"voter {i}: {exc}",)
+                raise
 
     @property
     def m(self) -> int:

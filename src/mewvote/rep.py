@@ -371,48 +371,51 @@ def rep_mallows_partitioned(c: int, model: MallowsModel, fp: Observation | None,
 # One pass over the order ideals: every candidate's rank row at once
 
 
-def _ideal_table(anc_masks: list[int] | tuple[int, ...], rows=None, prefixes=None) -> np.ndarray:
+def _ideal_table(anc_masks: list[int] | tuple[int, ...], edges=None) -> np.ndarray:
     """table[x][j-1] = Pr(item x at rank j) over the orderings of k items that
     ``anc_masks`` allows: all equally likely, or weighted by an insertion
-    model's ``rows`` as in ``ideal_levels``.
+    model's ``edges`` as in ``ideal_levels``.
 
     A ranking built top-down is a path through the order-ideal lattice, and
     placing x right after the ideal S puts x at rank |S| + 1.  So with f[S]
     from ``ideal_levels`` and g[S] the same sum over the orderings of S's
     complement, x's rank |S| + 1 collects f[S] * w(S, x) * g[S + x].  Unweighted,
-    f and g count orderings in exact ints.  Weighted, each level of f and of g
-    is divided by its own total; every term of one rank column then carries
-    the same scale, which dividing the column by its sum cancels, and a level
-    or column of no mass raises ZeroPosterior.
+    f and g count orderings in exact ints, so each rank's column sums to the
+    extension count; weighted, each level of f and of g is divided by its own
+    total, so every term of one column carries the same scale.  Either way a
+    column divided by its sum is the rank's probabilities, and a level or
+    column of no mass raises ZeroPosterior.
     """
     k = len(anc_masks)
-    levels = ideal_levels(anc_masks, rows, prefixes)  # levels[s][S] = f[S] over the ideals of size s
-    steps = [(x, 1 << x, anc) for x, anc in enumerate(anc_masks)]
-    counts = [[0] * k for _ in range(k)]
+    levels = ideal_levels(anc_masks, edges)  # levels[s][S] = f[S] over the ideals of size s
+    steps = [(x, 1 << x, anc, edges and edges[x]) for x, anc in enumerate(anc_masks)]
+    ranks = [[0] * k for _ in range(k)]  # ranks[s][x]: item x at rank s + 1
     g = {(1 << k) - 1: 1}
     for size in range(k - 1, -1, -1):
+        rank = ranks[size]
         for ideal, f in levels[size].items():
             g_ideal = 0
-            for x, bit, anc in steps:
+            for x, bit, anc, edge in steps:
                 if not ideal & bit and ideal & anc == anc:
                     rest = g[ideal | bit]
-                    if rows is not None:
-                        rest *= rows[x][(ideal & prefixes[x]).bit_count()]
+                    if edge:
+                        rest *= edge[0][(ideal & edge[1]).bit_count()]
                     g_ideal += rest
-                    counts[x][size] += f * rest
+                    rank[x] += f * rest
             g[ideal] = g_ideal
-        if rows is not None:
+        if edges:
             total = sum(g[ideal] for ideal in levels[size])
             if not total:
                 raise ZeroPosterior("observation has zero probability under the model")
             for ideal in levels[size]:
                 g[ideal] /= total
-    if rows is None:  # every column sums to g[empty], the extension count
-        return np.array([[n / g[0] for n in row] for row in counts])
-    columns = [sum(column) for column in zip(*counts)]
-    if not all(columns):
-        raise ZeroPosterior("observation has zero probability under the model")
-    return np.array([[n / column for n, column in zip(row, columns)] for row in counts])
+    table = []
+    for rank in ranks:
+        total = sum(rank)
+        if not total:
+            raise ZeroPosterior("observation has zero probability under the model")
+        table.append([n / total for n in rank])
+    return np.array(table).T.copy()
 
 
 def _components(anc_masks: tuple[int, ...]) -> list[list[int]]:
@@ -476,22 +479,14 @@ def _insertion_table(model: RimModel | MallowsModel, obs: Observation, m: int) -
     """
     sigma, pi = model.sigma, model.pi
     step = {x: i for i, x in enumerate(sigma)}
-    rows = [pi[step[x]] for x in range(m)]
-    prefixes = [sum(1 << y for y in sigma[:step[x]]) for x in range(m)]
-    table = _ideal_table(ancestor_masks(obs, m), rows, prefixes)
+    edges = [(pi[step[x]], sum(1 << y for y in sigma[:step[x]])) for x in range(m)]
+    table = _ideal_table(ancestor_masks(obs, m), edges)
     table.setflags(write=False)
     return table
 
 
 # ---------------------------------------------------------------------------
 # Uniform posets: one table per connected component, interleaved over the ranks
-
-
-def _component_table(items: list[int], anc_masks: tuple[int, ...]) -> np.ndarray:
-    """table[x][j-1] = fraction of a connected component's linear extensions
-    placing its x-th item (in ``items`` order) at rank j among its k items,
-    counted over its order ideals in exact ints by ``_ideal_table``."""
-    return _ideal_table(_local_masks(items, anc_masks))
 
 
 @lru_cache(maxsize=4096)
@@ -501,17 +496,19 @@ def _uniform_poset_table(m: int, anc_masks: tuple[int, ...]) -> np.ndarray:
     ``anc_masks[b]`` has bit a set when a > b in the transitive closure.  The
     linear extensions are the shuffles of the components' extensions, and a
     component of k items lands on a uniformly random k-subset of the ranks.
-    So each component's own k x k table, counted over its order ideals by
-    ``_component_table``, is spread over the m ranks by the hypergeometric
-    interleave, and an isolated item is uniform.  A component with more than
-    ``IDEAL_BUDGET`` ideals raises TooLarge.
+    So each component's own k x k table, counted over its order ideals in
+    exact ints by ``_ideal_table``, is spread over the m ranks by the
+    hypergeometric interleave, and an isolated item is uniform.  A component
+    with more than ``IDEAL_BUDGET`` ideals raises TooLarge.  Read-only: the
+    cache hands the same array to every caller.
     """
     table = np.empty((m, m))
     for items in _components(anc_masks):
         if len(items) == 1:
             table[items] = 1.0 / m
         else:
-            table[items] = _component_table(items, anc_masks) @ _interleave(len(items), m)
+            table[items] = _ideal_table(_local_masks(items, anc_masks)) @ _interleave(len(items), m)
+    table.setflags(write=False)
     return table
 
 

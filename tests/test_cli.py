@@ -148,6 +148,18 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("pi", [[[1.0], [0.5, 0.5]],
+                                [[1.0], [0.5, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]]])
+def test_a_model_with_the_wrong_row_count_is_an_input_error(capsys, tmp_path, pi):
+    doc = {"format": 1, "candidates": ["a", "b", "c"],
+           "voters": [{"type": "rim", "sigma": ["a", "b", "c"], "pi": pi}]}
+    path = tmp_path / "rows.profile"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "mew", "--profile", str(path), "--rule", "plurality")
+    assert code == 1
+    assert err == f"error: voter 0: expected 3 rows, one per item, got {len(pi)}\n"
+
+
 def test_malformed_profile_exit_code(capsys, tmp_path):
     doc = {"format": 1, "candidates": ["a", "b", "c"],
            "voters": [{"type": "mallows", "sigma": ["a", "b", "c"], "phi": "abc"}]}

@@ -133,3 +133,15 @@ def test_parameter_validation():
 
     with pytest.raises(InvalidK):
         GenSpec(kind="chain", m=5, n=3, k=9)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"m": 1}, "need m >= 2 and n >= 1"),
+    ({"n": 0}, "need m >= 2 and n >= 1"),
+    ({"p_max": 1.5}, r"p_max must be in \[0, 1\], got 1.5"),
+    ({"p_max": -0.1}, r"p_max must be in \[0, 1\], got -0.1"),
+])
+def test_spec_sizes_and_edge_probability_are_checked(fields, message):
+    with pytest.raises(ValidationError, match=message) as info:
+        GenSpec(**{"kind": "poset", "m": 5, "n": 3, **fields})
+    assert type(info.value) is ValidationError

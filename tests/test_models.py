@@ -153,3 +153,26 @@ def test_rsm_sampling_matches_probability():
     counts = Counter(sample(model, rng) for _ in range(n))
     for r in itertools.permutations(range(3)):
         assert abs(counts[r] / n - rsm_probability(r, model)) < 0.01
+
+
+@pytest.mark.parametrize("cls", [RimModel, RsmRankingModel])
+@pytest.mark.parametrize("rows", [2, 4])
+def test_step_models_need_one_row_per_item(cls, rows):
+    lengths = [1, 2, 3, 4] if cls is RimModel else [3, 2, 1, 1]  # valid lengths, then one more
+    pi = [[1.0 / n] * n for n in lengths[:rows]]
+    with pytest.raises(ValidationError, match=f"expected 3 rows, one per item, got {rows}"):
+        cls((0, 1, 2), pi)
+    cls((0, 1, 2), pi, check=False)  # unchecked rows are taken as given
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: RimModel((0, 1), [[1.0], [1.5, -0.5]]), ValidationError,
+     r"row 2 has entries outside \[0, 1\]"),
+    (lambda: kendall_tau((0, 1), (0, 2)), ValidationError,
+     "rankings are over different candidate sets"),
+    (lambda: sample(object(), 0), TypeError, "cannot sample from object"),
+])
+def test_model_inputs_are_rejected_with_their_class(call, error, message):
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert type(info.value) is error

@@ -317,3 +317,16 @@ def test_tracked_items_match_the_cover_pair_scan():
         p = random_poset(rng, m, density=float(rng.uniform(0.05, 0.7)))
         sigma = tuple(int(x) for x in rng.permutation(m))
         assert tracked_items(sigma, p) == _reference_tracked_items(sigma, p), (sigma, p)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: candidate_set("a", "b", "a"), ValidationError,
+     "candidate identifiers must be unique"),
+    (lambda: candidate_set("a"), ValidationError, "need at least 2 candidates"),
+    (lambda: validate(PartialOrder([(1, 1)]), ABC), CycleDetected,
+     "candidate 1 preferred to itself"),
+])
+def test_candidate_sets_and_self_preference_are_rejected(call, error, message):
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert type(info.value) is error

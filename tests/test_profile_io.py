@@ -236,3 +236,28 @@ def test_ratings_full_mode_requires_complete_coverage():
 def test_ratings_empty_input():
     with pytest.raises(EmptyInput):
         ratings_to_partitions([], top_m=5)
+
+
+def _combined(model, observation):
+    return {"format": 1, "candidates": ["a", "b"],
+            "voters": [{"type": "combined", "model": model, "observation": observation}]}
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: parse_profile("[1, 2]"), ParseError, "profile document must be a JSON object"),
+    (lambda: parse_profile(json.dumps({"format": 1, "candidates": [["a"], "b"],
+                                       "voters": [{"type": "poset", "pairs": []}]})),
+     ParseError, r"malformed 'candidates' \(unhashable type: 'list'\)"),
+    (lambda: parse_profile(json.dumps(_combined({"type": "plackett", "sigma": ["a", "b"]},
+                                                {"type": "poset", "pairs": []}))),
+     ParseError, "voter 0: unknown model type 'plackett'"),
+    (lambda: parse_profile(json.dumps(_combined(
+        {"type": "mallows", "sigma": ["a", "b"], "phi": 0.5}, {"type": "cloud"}))),
+     ParseError, "voter 0: unknown observation type 'cloud'"),
+    (lambda: ratings_to_partitions([("u", "a", 1), ("u", "b", 2)], 2, mode="x"),
+     ValidationError, "mode must be 'partial' or 'full', got 'x'"),
+])
+def test_document_and_ratings_inputs_are_rejected_with_their_class(call, error, message):
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert type(info.value) is error

@@ -29,6 +29,7 @@ from mewvote import (
     PartialOrder,
     PartitionedPreference,
     Profile,
+    RankOutOfRange,
     RimModel,
     RsmRankingModel,
     TooLarge,
@@ -421,7 +422,7 @@ def test_uniform_poset_m20_solves_every_component_without_the_tracked_item_dp(mo
         sub = PartialOrder((local[a], local[b]) for a, b in p.closure if a in local)
         if cover_width(tuple(range(k)), sub) > 4:
             continue
-        table = rep._component_table(items, ancestor_masks(p, m))
+        table = rep._ideal_table(rep._local_masks(items, ancestor_masks(p, m)))
         for x in range(k):
             assert np.allclose(table[x], rep_rim_poset(x, uniform_rim(tuple(range(k))), sub),
                                rtol=0, atol=1e-12)
@@ -481,6 +482,37 @@ def test_every_solver_rejects_a_candidate_it_does_not_hold(solver):
             solve(c)
     for c in range(4):
         solve(c)
+
+
+_LEAVES_ONE_OUT = PartitionedPreference([[2], [0]], missing=[1, 3])  # places 2 of 4
+
+
+@pytest.mark.parametrize("solve,error,message", [
+    (lambda: rep_rim(0, _MALLOWS4, _LEAVES_ONE_OUT), ValidationError, "not fully partitioned"),
+    (lambda: rep_rim_truncated(0, mallows_to_rim(_MALLOWS4), _LEAVES_ONE_OUT),
+     ValidationError, "not fully partitioned"),
+    (lambda: rep_mallows_partitioned(0, _MALLOWS4, _LEAVES_ONE_OUT), ValidationError,
+     "not fully partitioned"),
+    (lambda: rep_rsm(0, 0, mallows_to_rsm(_MALLOWS4)), RankOutOfRange, r"rank 0 outside \[1, 4\]"),
+    (lambda: rep_rsm(0, 5, mallows_to_rsm(_MALLOWS4)), RankOutOfRange, r"rank 5 outside \[1, 4\]"),
+])
+def test_solvers_reject_inputs_outside_their_domain(solve, error, message):
+    with pytest.raises(error, match=message) as info:
+        solve()
+    assert type(info.value) is error
+
+
+def test_shared_tables_are_read_only_and_dispatch_rows_are_copies():
+    poset = PartialOrder([(0, 1)])
+    for voter in (Voter(None, poset), Voter(_MALLOWS4, poset)):  # both table routes
+        table = rep.shared_table(voter, 4)
+        assert table is not None and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+        row = rep_dispatch(0, voter, 4)
+        assert row.flags.writeable and not np.shares_memory(row, table)
+        row[:] = 0.0
+        assert rep_dispatch(0, voter, 4).sum() == pytest.approx(1.0)
 
 
 def test_voter_support_rejects_out_of_range_observations():

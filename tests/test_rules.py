@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mewvote import InvalidK, InvalidRule, RankOutOfRange, ScoringRule, make_rule, parse_rule, score_of_rank
-from mewvote.rules import integer_scores
+from mewvote.rules import check_rule_size, integer_scores
 
 
 def test_builtin_vectors():
@@ -69,3 +69,20 @@ def test_score_array_is_a_read_only_copy_of_the_scores():
         assert tuple(r.score_array) == rule.scores
         with pytest.raises(ValueError):
             r.score_array[0] = 0.0
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: ScoringRule("one", [1]), InvalidRule, "at least 2 ranks"),
+    (lambda: check_rule_size(make_rule("borda", 3), 4), InvalidRule,
+     "rule has 3 ranks, profile has 4 candidates"),
+    (lambda: make_rule("borda", 1), InvalidRule, "need at least 2 candidates"),
+    (lambda: make_rule("copeland", 3), InvalidRule, "unknown rule kind 'copeland'"),
+    (lambda: parse_rule("k-approval:x", 3), InvalidK, "bad k-approval spec 'k-approval:x'"),
+    (lambda: parse_rule("custom:1,a,0", 3), InvalidRule, "bad custom score vector 'custom:1,a,0'"),
+    (lambda: parse_rule("custom:1,1/0,0", 3), InvalidRule,
+     "bad custom score vector 'custom:1,1/0,0'"),
+])
+def test_rule_inputs_are_rejected_with_their_class(build, error, message):
+    with pytest.raises(error, match=message) as info:
+        build()
+    assert type(info.value) is error
