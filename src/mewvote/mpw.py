@@ -10,7 +10,11 @@ otherwise the voter's completions are enumerated and weighted by the model
 posterior.
 
 State counts generally grow quickly with the number of voters; the explicit
-``state_cap`` turns that growth into a loud error instead of a hang.
+``state_cap`` turns that growth into a loud error instead of a hang.  It
+bounds the work too: a voter step that would merge more than
+``PAIRS_PER_STATE * state_cap`` (state, delta) pairs raises TooLarge before it
+starts, since a step under the state cap can still take minutes.  Identical
+voters (one ``group_key``) share one list of deltas.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ class MpwResult:
     seconds: float = 0.0
 
 STATE_CAP = 1_000_000  # score-vector states; small Borda profiles reach it at ~250 MB
+PAIRS_PER_STATE = 10  # a voter step merges at most this many (state, delta) pairs per capped state
 WIN_PROB_TOL = 1e-12
 
 
@@ -75,9 +80,17 @@ def mpw(profile: Profile, rule: ScoringRule, *, state_cap: int = STATE_CAP) -> M
 
     states: dict[tuple[int, ...], float] = {(0,) * m: 1.0}
     worlds_explored = 1
-    for voter in profile.voters:
-        deltas = _assignment_deltas(voter, m, int_scores)
+    deltas_of: dict[tuple, list[tuple[tuple[int, ...], float]]] = {}  # per group_key
+    for index, voter in enumerate(profile.voters):
+        key = voter.group_key()
+        if key not in deltas_of:
+            deltas_of[key] = _assignment_deltas(voter, m, int_scores)
+        deltas = deltas_of[key]
         for _ in range(voter.weight):  # a weight-w voter is w independent voters
+            pairs = len(states) * len(deltas)
+            if pairs > PAIRS_PER_STATE * state_cap:
+                raise TooLarge(f"voter {index} would merge {pairs} (state, delta) pairs, "
+                               f"past {PAIRS_PER_STATE} x state cap {state_cap}")
             nstates: dict[tuple[int, ...], float] = {}
             for sv, p in states.items():
                 for dv, q in deltas:

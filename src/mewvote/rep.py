@@ -26,7 +26,13 @@ model plus optional observation) through three branches, in this order:
      ``_mallows_rank_row`` shared per (phi, bucket size, index in the bucket),
      and the windowed insertion DP ``rep_rim`` for a ``RimModel``.
      A ``MallowsModel`` reads its insertion rows as ``pi``, so every
-     insertion solver takes it as it is.
+     insertion solver takes it as it is.  The selection, tracked-item and
+     ``rep_rim`` rows go through ``_dp_row``, cached read-only per
+     (candidate, model, observation, m).  A row does not depend on the rule,
+     so a warm pass, or a second rule on the same profile, runs no DP.  The
+     cache keeps 16,384 rows, evicting the least recently used: a profile
+     with more distinct rows than that gets little or no reuse on a warm
+     pass, which comes back to each row only after all the others.
 
 A candidate outside 0..m-1 raises UnknownCandidate in ``rep_dispatch``, and
 one the model does not hold raises it in each model solver.  Conditioning on
@@ -547,15 +553,27 @@ def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
     if table is not None:
         return table[c].copy()
 
+    if isinstance(model, RsmRankingModel) and obs is not None:
+        raise Unsupported("no exact solver for a selection model with an observation")
+    if isinstance(model, MallowsModel) and not _conditioned(obs, m):
+        return rep_mallows_partitioned(c, model, obs, m)  # the shared row of the target's bucket
+    return _dp_row(c, model, obs, m).copy()
+
+
+@lru_cache(maxsize=16384)
+def _dp_row(c: int, model: RimModel | MallowsModel | RsmRankingModel,
+            obs: Observation | None, m: int) -> np.ndarray:
+    """``c``'s row from a DP for that candidate alone: the selection DP, the
+    tracked-item DP past the ideal table's bound, or ``rep_rim``.  Read-only:
+    the cache hands the same array to every caller."""
     if isinstance(model, RsmRankingModel):
-        if obs is not None:
-            raise Unsupported("no exact solver for a selection model with an observation")
-        return rsm_rank_distribution(c, model)
-    if _conditioned(obs, m):  # past the ideal table's bound
-        return rep_rim_poset(c, model, obs)
-    if isinstance(model, MallowsModel):  # the shared row of the target's bucket
-        return rep_mallows_partitioned(c, model, obs, m)
-    return rep_rim(c, model, obs)
+        row = rsm_rank_distribution(c, model)
+    elif _conditioned(obs, m):
+        row = rep_rim_poset(c, model, obs)
+    else:
+        row = rep_rim(c, model, obs)
+    row.setflags(write=False)
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from conftest import random_supported_profile
@@ -17,6 +19,8 @@ from mewvote import (
     parse_rule,
 )
 from mewvote.oracle import oracle_mpw
+
+mpw_module = importlib.import_module("mewvote.mpw")  # ``mewvote.mpw`` is also the function
 
 
 def test_mpw_two_voter_profile(data_dir):
@@ -85,17 +89,36 @@ def test_mpw_custom_fractional_rule_matches_oracle():
         assert res.win_probs[name] == pytest.approx(expected[c], abs=1e-12)
 
 
-def test_weighted_voter_counts_as_independent_copies():
+@pytest.mark.parametrize("rule_name", ["plurality", "borda"])  # rank marginals; completions
+def test_weighted_voter_counts_as_independent_copies(monkeypatch, rule_name):
     cands = candidate_set("a", "b", "c")
-    weighted = Profile(cands, [Voter(None, PartialOrder([(0, 1)]), weight=2),
+    weighted = Profile(cands, [Voter(None, PartialOrder([(0, 1)]), weight=3),
                                Voter(None, PartialChain((2, 1, 0)))])
-    expanded = Profile(cands, [Voter(None, PartialOrder([(0, 1)])),
-                               Voter(None, PartialOrder([(0, 1)])),
-                               Voter(None, PartialChain((2, 1, 0)))])
-    rule = make_rule("plurality", 3)
+    expanded = Profile(cands, [Voter(None, PartialOrder([(0, 1)])) for _ in range(3)]
+                       + [Voter(None, PartialChain((2, 1, 0)))])
+    rule = make_rule(rule_name, 3)
     a = mpw(weighted, rule)
+    # identical voters share one list of deltas: the solvers see two voters
+    solved = []
+    for name in ("rep_dispatch", "voter_support"):
+        original = getattr(mpw_module, name)
+
+        def logged(*args, original=original):
+            solved.append(id(next(x for x in args if isinstance(x, Voter))))
+            return original(*args)
+        monkeypatch.setattr(mpw_module, name, logged)
     b = mpw(expanded, rule)
     assert a.win_probs == b.win_probs
+    assert len(set(solved)) == 2
+
+
+def test_a_voter_step_past_the_work_budget_raises_before_it_starts():
+    # two uniform voters over 4 candidates under Borda: 24 deltas each, so
+    # voter 1 would merge 24 x 24 pairs, past 10 x a state cap of 50
+    prof = Profile(candidate_set("a", "b", "c", "d"), [Voter(), Voter()])
+    with pytest.raises(TooLarge, match=r"^voter 1 would merge 576 \(state, delta\) pairs, "
+                                       r"past 10 x state cap 50$"):
+        mpw(prof, make_rule("borda", 4), state_cap=50)
 
 
 def test_win_probs_form_a_superdistribution():

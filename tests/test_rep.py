@@ -515,6 +515,60 @@ def test_shared_tables_are_read_only_and_dispatch_rows_are_copies():
         assert rep_dispatch(0, voter, 4).sum() == pytest.approx(1.0)
 
 
+def _count_calls(monkeypatch, *names):
+    """Replace each named ``rep`` function with one that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(rep, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(rep, name, counted)
+    return calls
+
+
+_DP_SOLVERS = ("rep_rim_poset", "rep_rim", "rsm_rank_distribution")
+
+
+def _dp_profile():
+    """One voter per per-candidate DP: the tracked-item DP (a Mallows voter
+    past the ideal table's bound), ``rep_rim`` and the selection DP."""
+    m = 10
+    sigma = tuple(range(m))
+    voters = [Voter(MallowsModel(sigma, 0.5), PartialOrder([(3, 7)])),
+              Voter(mallows_to_rim(MallowsModel(sigma[::-1], 0.6))),
+              Voter(mallows_to_rsm(MallowsModel(sigma, 0.7)))]
+    return Profile(candidate_set(*(f"c{i}" for i in range(m))), voters)
+
+
+def test_a_second_rule_on_the_same_profile_runs_no_dp_until_the_caches_clear(monkeypatch):
+    prof = _dp_profile()
+    rep.clear_caches()
+    calls = _count_calls(monkeypatch, *_DP_SOLVERS)
+    plurality = mew(prof, make_rule("plurality", prof.m), pruning=False)
+    assert calls == dict.fromkeys(_DP_SOLVERS, prof.m)
+    calls.update(dict.fromkeys(calls, 0))
+    mew(prof, make_rule("borda", prof.m))
+    assert calls == dict.fromkeys(_DP_SOLVERS, 0)
+    rep.clear_caches()
+    again = mew(prof, make_rule("plurality", prof.m), pruning=False)
+    assert again.expected_scores == plurality.expected_scores
+    assert calls == dict.fromkeys(_DP_SOLVERS, prof.m)
+
+
+def test_dp_rows_are_cached_read_only_and_dispatch_rows_are_copies():
+    prof = _dp_profile()
+    for voter in prof.voters:
+        assert rep.shared_table(voter, prof.m) is None
+        row = rep_dispatch(0, voter, prof.m)
+        assert not rep._dp_row(0, voter.model, voter.observation, prof.m).flags.writeable
+        assert row.flags.writeable
+        want = row.copy()
+        row[:] = 0.0
+        assert np.array_equal(rep_dispatch(0, voter, prof.m), want)
+
+
 def test_voter_support_rejects_out_of_range_observations():
     for obs, m in ((PartialOrder([(0, 12)]), 10), (PartialOrder([(0, -1)]), 10),
                    (PartialChain((0, 12)), 10), (TruncatedRanking((12,), ()), 5),
@@ -666,18 +720,8 @@ def test_both_insertion_poset_routes_match_the_oracle():
 
 
 def test_insertion_posets_take_the_cheaper_route(monkeypatch):
-    calls = {"rep_rim_poset": 0, "_insertion_table": 0}
-
-    def count(name):
-        original = getattr(rep, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(rep, name, counted)
-
-    count("rep_rim_poset")
-    count("_insertion_table")
+    rep.clear_caches()  # a cached row would skip the solver it counts
+    calls = _count_calls(monkeypatch, "rep_rim_poset", "_insertion_table")
     # one pair among ten items: cover width 1, 3 * 2^8 = 768 ideals > 10^2
     m = 10
     sparse = Voter(MallowsModel(tuple(range(m)), 0.5), PartialOrder([(3, 7)]))
