@@ -11,9 +11,10 @@ import typing
 from dataclasses import dataclass, fields
 
 from .engine import mew, mew_parallel
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .generators import GenSpec, cover_width_profile, generate
 from .mpw import mpw
+from .preferences import check_count
 from .profiles import Profile
 from .rep import clear_caches
 from .rules import parse_rule
@@ -65,8 +66,7 @@ def time_run(run: BenchRun, profile: Profile) -> float:
 
 
 def run_bench(runs: list[BenchRun], repeat: int = 3) -> list[dict]:
-    if repeat < 1:
-        raise ValidationError(f"repeat must be >= 1, got {repeat}")
+    repeat = check_count("repeat", repeat)
     rows = []
     for run in runs:
         profile = build_profile(run)
@@ -103,8 +103,7 @@ def _check_values(i: int, run: BenchRun) -> None:
     """``algo`` is one the harness runs, and ``workers`` is not negative."""
     if run.algo not in ("mew", "mpw"):
         raise ParseError(f"run {i}: field 'algo' must be 'mew' or 'mpw', got {run.algo!r}")
-    if run.workers < 0:
-        raise ParseError(f"run {i}: field 'workers' must be >= 0, got {run.workers!r}")
+    check_count(f"run {i}: field 'workers'", run.workers, low=0, error=ParseError)
 
 
 def parse_bench_spec(text: str) -> list[BenchRun]:

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidRule, MewError
-from .preferences import rank_bounds
+from .preferences import check_count, rank_bounds
 from .profiles import Profile, Voter
 from .rep import closed_form, rep_dispatch, shared_table
 from .rules import ScoringRule, check_rule_size
@@ -227,8 +227,7 @@ def mew_parallel(profile: Profile, rule: ScoringRule, workers: int = 1) -> MewRe
     """
     t0 = time.perf_counter()
     check_rule_size(rule, profile.m)
-    if workers < 1:
-        raise InvalidRule(f"workers must be >= 1, got {workers}")
+    workers = check_count("workers", workers, error=InvalidRule)
     groups = _grouped(profile, grouping=True)
     k = min(rule.m, -(-workers // len(groups)))  # candidate slices per group
     if k > 1:  # the children inherit the built tables

@@ -46,7 +46,7 @@ class TooLarge(MewError):
 
 
 class CoverWidthExceeded(TooLarge):
-    """A poset's cover width exceeds the configured solver cap."""
+    """The tracked-item DP's cover width or one step's state count passes its bound."""
 
 
 class ZeroPosterior(MewError):

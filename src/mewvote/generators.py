@@ -19,6 +19,7 @@ from .preferences import (
     PartialOrder,
     PartitionedPreference,
     TruncatedRanking,
+    check_count,
 )
 from .profiles import Profile, Voter
 
@@ -67,8 +68,8 @@ def cover_width_profile(m: int, n: int, width: int, phi: float, seed: int) -> Pr
     The first ``width`` reference items are each preferred to the last one, so
     all of them stay tracked until the final insertion.
     """
-    if isinstance(width, bool) or not isinstance(width, int) or not 1 <= width <= m - 1:
-        raise ValidationError(f"cover width must be an integer in [1, {m - 1}], got {width!r}")
+    if check_count("cover width", width) > m - 1:
+        raise ValidationError(f"cover width must be <= {m - 1}, got {width}")
     pairs = [(i, m - 1) for i in range(width)]
     model = MallowsModel(tuple(range(m)), phi)
     voters = [Voter(model, PartialOrder(pairs)) for _ in range(n)]

@@ -22,7 +22,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import TooLarge, ValidationError
+from .errors import TooLarge
+from .preferences import check_count
 from .profiles import Profile, Voter
 from .rep import rep_dispatch, voter_support
 from .rules import ScoringRule, check_rule_size, integer_scores
@@ -72,8 +73,7 @@ def _assignment_deltas(voter: Voter, m: int,
 def mpw(profile: Profile, rule: ScoringRule, *, state_cap: int = STATE_CAP) -> MpwResult:
     """Winning probability of every candidate over the possible worlds."""
     t0 = time.perf_counter()
-    if isinstance(state_cap, bool) or not isinstance(state_cap, int) or state_cap < 1:
-        raise ValidationError(f"state_cap must be a positive integer, got {state_cap!r}")
+    state_cap = check_count("state_cap", state_cap)
     check_rule_size(rule, profile.m)
     m = profile.m
     int_scores = integer_scores(rule)

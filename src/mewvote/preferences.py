@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 from .errors import (CycleDetected, OverlapViolation, TooLarge, UnknownCandidate, Unsupported,
                      ValidationError, ZeroPosterior)
@@ -160,12 +161,9 @@ class TruncatedRanking:
         return frozenset(range(m)) - set(self.top) - set(self.bottom)
 
     def to_partitioned(self, m: int) -> PartitionedPreference:
-        buckets: list[frozenset[int]] = [frozenset([c]) for c in self.top]
-        mid = self.middle(m)
-        if mid:
-            buckets.append(frozenset(mid))
-        buckets.extend(frozenset([c]) for c in self.bottom)
-        return PartitionedPreference(buckets)
+        middle = self.middle(m)
+        return PartitionedPreference([(c,) for c in self.top] + [middle] * bool(middle)
+                                     + [(c,) for c in self.bottom])
 
 
 Observation = PartialOrder | PartitionedPreference | PartialChain | TruncatedRanking
@@ -178,8 +176,20 @@ def check_observation(obs) -> None:
         raise Unsupported(f"unknown observation type {type(obs).__name__}")
 
 
+def check_count(name: str, value, low: int = 1, error: type[Exception] = ValidationError) -> int:
+    """``value`` as a plain int when it is an integer (a numpy one too, but not a
+    bool) of at least ``low``; otherwise ``error`` naming ``name`` is raised."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def check_candidate(c: int, m: int) -> None:
-    """Reject a candidate index outside 0..m-1."""
+    """Reject a candidate index that is not an integer (``check_count``) in 0..m-1."""
+    if type(c) is not int:
+        c = check_count("candidate index", c, low=0, error=UnknownCandidate)
     if not 0 <= c < m:
         raise UnknownCandidate(f"candidate index {c} outside 0..{m - 1}")
 
@@ -280,14 +290,12 @@ def _bucket_layout(obs: PartitionedPreference | PartialChain | TruncatedRanking,
     placed twice (in two buckets, or bucketed and missing) raise, and so
     does any other type (Unsupported), for every caller.
     """
+    if isinstance(obs, TruncatedRanking):
+        obs = obs.to_partitioned(m)
     if isinstance(obs, PartitionedPreference):
         buckets, missing = obs.buckets, obs.missing
     elif isinstance(obs, PartialChain):
         buckets, missing = [(c,) for c in obs.chain], ()
-    elif isinstance(obs, TruncatedRanking):
-        middle = obs.middle(m)
-        buckets = [(c,) for c in obs.top] + [middle] * bool(middle) + [(c,) for c in obs.bottom]
-        missing = ()
     else:
         raise Unsupported(f"unknown observation type {type(obs).__name__}")
     k = sum(map(len, buckets))

@@ -140,9 +140,7 @@ _OBSERVATION_TAGS = ("ranking", "poset", "partitioned", "partial_partitioned",
 
 
 def _parse_voter(doc, cand: CandidateSet) -> Voter:
-    weight = doc.get("weight", 1)
-    if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
-        raise ValidationError(f"weight must be a positive integer, got {weight!r}")
+    weight = doc.get("weight", 1)  # checked by Voter
     kind = doc.get("type")
     if kind == "combined":
         model = _parse_model(doc["model"], cand)

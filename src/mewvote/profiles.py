@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 from .errors import Unsupported, ValidationError
 from .models import MallowsModel, RimModel, RsmRankingModel, validate_reference
-from .preferences import CandidateSet, Observation, PartialOrder, check_observation, validate
+from .preferences import (CandidateSet, Observation, PartialOrder, check_count, check_observation,
+                          validate)
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,7 @@ class Voter:
         check_observation(self.observation)  # every solver path keys a cache on it
         if isinstance(self.observation, PartialOrder) and not self.observation.pairs:
             object.__setattr__(self, "observation", None)  # canonical "no information"
-        if self.weight < 1:
-            raise ValidationError(f"voter weight must be >= 1, got {self.weight}")
+        object.__setattr__(self, "weight", check_count("voter weight", self.weight))
 
     def group_key(self):
         return (self.model, self.observation)

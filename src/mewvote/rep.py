@@ -34,12 +34,13 @@ model plus optional observation) through three branches, in this order:
      with more distinct rows than that gets little or no reuse on a warm
      pass, which comes back to each row only after all the others.
 
-A candidate outside 0..m-1 raises UnknownCandidate in ``rep_dispatch``, and
-one the model does not hold raises it in each model solver.  Conditioning on
-evidence with zero probability raises ZeroPosterior: the posterior is
-undefined there, and returning a default would poison expected scores
-silently; an observation of no known type raises Unsupported when a
-``Voter`` (from ``profiles``) is built on it, or in ``rank_bounds``.
+A candidate index that is not an integer in 0..m-1 raises UnknownCandidate in
+``rep_dispatch`` (in ``rep_uniform`` on the closed form), and one the model
+does not hold raises it in each model solver.  Conditioning on evidence with
+zero probability raises ZeroPosterior: the posterior is undefined there, and
+returning a default would poison expected scores silently; an observation of no
+known type raises Unsupported when a ``Voter`` (from ``profiles``) is built on
+it, or in ``rank_bounds``.
 ``clear_caches`` empties the process-wide caches, so a timed solve starts cold.
 """
 
@@ -273,6 +274,7 @@ def rep_rim_poset(c: int, model: RimModel | MallowsModel, obs: Observation,
     when those items were inserted.  The states hold unnormalised evidence
     products; a step whose total falls below ``STATE_FLOOR`` rescales them by
     that total, so strong evidence does not underflow to a false ZeroPosterior.
+    As the cap does not bound the states, a step past ``IDEAL_BUDGET`` raises too.
     """
     sigma, pi = model.sigma, model.pi
     m = len(sigma)
@@ -315,6 +317,9 @@ def rep_rim_poset(c: int, model: RimModel | MallowsModel, obs: Observation,
                     newpos[u_slot] = j
                 key = tuple(newpos)
                 nstates[key] = nstates.get(key, 0.0) + mass * pr
+            if len(nstates) > IDEAL_BUDGET:  # read per call, so a test can lower it
+                raise CoverWidthExceeded(f"cover width {cw}: step {i} of {m} holds more than "
+                                         f"{IDEAL_BUDGET} tracked-item states")
         scale = sum(nstates.values())
         if 0.0 < scale < STATE_FLOOR:
             nstates = {key: mass / scale for key, mass in nstates.items()}
@@ -545,10 +550,10 @@ def shared_table(voter: Voter, m: int) -> np.ndarray | None:
 def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
     """Route one (candidate, voter) query: the closed form, a row of the shared
     table, or a DP for this candidate alone (see the module docstring)."""
-    check_candidate(c, m)
     model, obs = voter.model, voter.observation
     if closed_form(voter):
-        return rep_uniform(c, obs, m)
+        return rep_uniform(c, obs, m)  # checks c
+    check_candidate(c, m)
     table = shared_table(voter, m)
     if table is not None:
         return table[c].copy()

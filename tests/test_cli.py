@@ -243,7 +243,7 @@ def test_resource_cap_exit_code(capsys, tmp_path):
 @pytest.mark.parametrize("enum_cap, argv, message", [
     ("abc", ("oracle",), "MEW_ENUM_CAP must be a positive integer, got 'abc'"),
     ("-1", ("oracle",), "MEW_ENUM_CAP must be a positive integer, got '-1'"),
-    (None, ("mpw", "--state-cap", "0"), "state_cap must be a positive integer, got 0"),
+    (None, ("mpw", "--state-cap", "0"), "state_cap must be >= 1, got 0"),
 ], ids=["enum-cap-abc", "enum-cap-negative", "state-cap-zero"])
 def test_a_cap_that_is_not_a_positive_integer_is_an_input_error(
         capsys, data_dir, monkeypatch, enum_cap, argv, message):

@@ -3,7 +3,8 @@
 The data modules and the possible-worlds oracle import no solver code, so the
 oracle stays an independent check of the solvers; the engine does not import
 the oracle; and no module reaches into ``rep``'s private names.  Imports
-inside functions count too.
+inside functions count too.  The count rule (an integer, and a bool is not
+one) is written out only in ``preferences``.
 """
 
 import ast
@@ -75,3 +76,30 @@ def test_no_module_imports_a_private_name_from_rep():
 def test_moved_names_still_resolve():
     assert mewvote.Voter is mewvote.rep.Voter is mewvote.profiles.Voter
     assert mewvote.expected_regret is mewvote.oracle.oracle_expected_regret
+
+
+def count_checks(source: str) -> int:
+    """The hand-written count checks in ``source``: ``isinstance(x, bool) or not
+    isinstance(x, int)``, with ``Integral`` for ``int`` too."""
+    def isinstance_of(node, names):
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2 and getattr(node.args[1], "id", None) in names)
+
+    found = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            found += any(isinstance_of(v, {"bool"}) for v in node.values) and any(
+                isinstance(v, ast.UnaryOp) and isinstance(v.op, ast.Not)
+                and isinstance_of(v.operand, {"int", "Integral"}) for v in node.values)
+    return found
+
+
+def test_the_count_rule_has_one_home():
+    assert count_checks("if isinstance(w, bool) or not isinstance(w, int) or w < 1:\n    pass") == 1
+    assert count_checks("def f(n):\n    return isinstance(n, bool) or not isinstance(n, Integral)") == 1
+    # a JSON number and a field's declared type are other rules
+    assert count_checks("isinstance(v, bool) or not isinstance(v, (int, float))") == 0
+    assert count_checks("isinstance(v, bool) != (bool in a) or not isinstance(v, a)") == 0
+    for path in PACKAGE.glob("*.py"):
+        want = 1 if path.stem == "preferences" else 0  # check_count
+        assert count_checks(path.read_text()) == want, path.stem

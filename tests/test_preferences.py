@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import strategies as st
 
 from mewvote import (
     CycleDetected,
+    InvalidRule,
     MallowsModel,
     OverlapViolation,
+    ParseError,
     PartialChain,
     PartialOrder,
     PartitionedPreference,
+    Profile,
     TooLarge,
     TruncatedRanking,
     UnknownCandidate,
@@ -21,13 +25,20 @@ from mewvote import (
     candidate_set,
     cover_width,
     linear_extensions,
+    make_rule,
     mallows_to_rim,
+    mew_parallel,
+    mpw,
+    parse_profile,
     rank_bounds,
     rep_dispatch,
     validate,
     voter_support,
 )
+from mewvote.bench import parse_bench_spec, run_bench
+from mewvote.generators import cover_width_profile
 from mewvote.preferences import ancestor_masks, bucket_layout, bucket_window, tracked_items
+from mewvote.rep import closed_form, shared_table
 
 ABC = candidate_set("a", "b", "c")
 
@@ -330,3 +341,79 @@ def test_candidate_sets_and_self_preference_are_rejected(call, error, message):
     with pytest.raises(error, match=message) as info:
         call()
     assert type(info.value) is error
+
+
+# --- one integer rule for every count and candidate index ------------------
+
+def _count_rule(name, low=1):
+    """The message ``check_count`` gives for ``value``, or None when it takes it."""
+    def message(value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            return f"{name} must be an integer, got {value!r}"
+        return f"{name} must be >= {low}, got {value}" if value < low else None
+    return message
+
+
+def _spec_workers(value):
+    # the spec's field types are checked first, so a non-int never reaches the count rule
+    if isinstance(value, bool) or not isinstance(value, int):
+        return f"run 0: field 'workers' must be int, got {value!r}"
+    return _count_rule("run 0: field 'workers'", low=0)(value)
+
+
+def _document(weight):
+    return json.dumps({"format": 1, "candidates": ["a", "b"],
+                       "voters": [{"type": "poset", "pairs": [], "weight": weight}]})
+
+
+COUNTS = {  # argument: (call, error class, expected message)
+    "voter-weight": (lambda v: Voter(None, None, v), ValidationError,
+                     _count_rule("voter weight")),
+    "document-weight": (lambda v: parse_profile(_document(v)), ValidationError,
+                        _count_rule("voter 0: voter weight")),
+    "parallel-workers": (lambda v: mew_parallel(Profile(ABC, [Voter()]), make_rule("borda", 3),
+                                                workers=v),
+                         InvalidRule, _count_rule("workers")),
+    "mpw-state-cap": (lambda v: mpw(Profile(ABC, [Voter()]), make_rule("borda", 3), state_cap=v),
+                      ValidationError, _count_rule("state_cap")),
+    "bench-repeat": (lambda v: run_bench([], repeat=v), ValidationError, _count_rule("repeat")),
+    "spec-workers": (lambda v: parse_bench_spec(json.dumps([{"kind": "chain", "workers": v}])),
+                     ParseError, _spec_workers),
+    "cover-width": (lambda v: cover_width_profile(6, 1, v, 0.5, 0), ValidationError,
+                    _count_rule("cover width")),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "2", 0, -1], ids=repr)
+@pytest.mark.parametrize("argument", COUNTS)
+def test_every_count_is_an_integer_of_at_least_its_floor(argument, value):
+    call, error, message = COUNTS[argument]
+    if message(value) is None:  # 0 workers in a bench spec is the serial solver
+        call(value)
+        return
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error and str(info.value) == message(value)
+
+
+def _route_voters(m):
+    mallows = MallowsModel(tuple(range(m)), 0.5)
+    return {
+        "closed-form": Voter(None, PartialChain((2, 0))),
+        "uniform-poset-table": Voter(None, PartialOrder([(0, 1)])),
+        "insertion-table": Voter(mallows, PartialOrder([(0, 1), (1, 2)])),
+        "mallows-bucket-rows": Voter(mallows, PartitionedPreference([[0, 1], [2, 3]])),
+        "dp-row": Voter(mallows_to_rim(mallows), None),
+    }
+
+
+@pytest.mark.parametrize("c", [True, 1.0, -1, 4], ids=repr)
+@pytest.mark.parametrize("route", _route_voters(4))
+def test_dispatch_rejects_a_candidate_that_is_not_an_index_on_every_route(route, c):
+    m = 4
+    voter = _route_voters(m)[route]
+    assert closed_form(voter) == (route == "closed-form")
+    assert (shared_table(voter, m) is not None) == route.endswith("table")
+    with pytest.raises(UnknownCandidate):
+        rep_dispatch(c, voter, m)
+    assert np.array_equal(rep_dispatch(np.int64(1), voter, m), rep_dispatch(1, voter, m))

@@ -156,6 +156,13 @@ def test_names_given_as_a_string_are_rejected():
             parse_profile(_document(voter))
 
 
+def test_a_numpy_integer_weight_is_stored_as_an_int_and_round_trips():
+    voter = Voter(None, PartialChain((0, 1)), np.int64(3))
+    assert type(voter.weight) is int and voter.weight == 3
+    prof = Profile(candidate_set("a", "b", "c"), [voter])
+    assert parse_profile(serialize_profile(prof)) == prof
+
+
 def test_boolean_weight_is_rejected():
     with pytest.raises(ValidationError, match="voter 0"):
         parse_profile(_document({"type": "chain", "chain": ["a"], "weight": True}))

@@ -65,6 +65,7 @@ from mewvote import (
     validate,
     voter_support,
 )
+from mewvote.generators import cover_width_profile
 from mewvote.models import uniform_rim
 from mewvote.oracle import fcp_count, oracle_rank_distribution
 from mewvote.preferences import ancestor_masks, bucket_layout, bucket_window
@@ -654,6 +655,19 @@ def test_cover_width_cap():
         rep_rim_poset(0, model, wide)
     # raising the cap lets it run
     rep_rim_poset(0, model, wide, cw_cap=8)
+
+
+def test_tracked_item_dp_bounds_its_states_per_step(monkeypatch):
+    # the cover-width cap alone does not bound the work: width 6 at m=10 peaks
+    # past 10,000 states in one step, under the default bound of 2^18
+    voter = cover_width_profile(m=10, n=1, width=6, phi=0.5, seed=0).voters[0]
+    model, obs = voter.model, voter.observation
+    assert np.allclose(rep_rim_poset(0, model, obs), rep._insertion_table(model, obs, 10)[0],
+                       rtol=0, atol=1e-12)
+    monkeypatch.setattr(rep, "IDEAL_BUDGET", 10_000)
+    with pytest.raises(CoverWidthExceeded,
+                       match=r"^cover width 6: step \d+ of 10 holds more than 10000 "):
+        rep_rim_poset(0, model, obs)
 
 
 # --- insertion models given a poset: one table over the order ideals -------
