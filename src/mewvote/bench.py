@@ -11,7 +11,7 @@ import typing
 from dataclasses import dataclass, fields
 
 from .engine import mew, mew_parallel
-from .errors import ParseError
+from .errors import MewError, ParseError, ValidationError
 from .generators import GenSpec, cover_width_profile, generate
 from .mpw import mpw
 from .preferences import check_count
@@ -22,6 +22,9 @@ from .rules import parse_rule
 
 @dataclass(frozen=True)
 class BenchRun:
+    """One timed configuration, checked as it is built: each field has its declared
+    type (a bool is not an int; an int is fine for a float), and ``algo``,
+    ``workers``, ``rule`` and, for any kind but ``cover_width``, its ``GenSpec`` are valid."""
     kind: str                  # a generator kind, or "cover_width" (its width is k)
     algo: str = "mew"          # mew | mpw
     m: int = 10
@@ -37,17 +40,35 @@ class BenchRun:
     b: int = 0
     seed: int = 0
 
+    def __post_init__(self):
+        for name, hint in typing.get_type_hints(BenchRun).items():
+            allowed = typing.get_args(hint) or (hint,)  # ``int | None`` unpacks
+            if float in allowed:
+                allowed += (int,)
+            value = getattr(self, name)
+            if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise ValidationError(f"field {name!r} must be {names}, got {value!r}")
+        if self.algo not in ("mew", "mpw"):
+            raise ValidationError(f"field 'algo' must be 'mew' or 'mpw', got {self.algo!r}")
+        check_count("field 'workers'", self.workers, low=0)
+        if self.kind != "cover_width":
+            _gen_spec(self)
+        parse_rule(self.rule, self.m)
+
 
 CSV_COLUMNS = (*(f.name for f in fields(BenchRun) if f.name != "seed"),
                "repeats", "mean_seconds", "stddev_seconds")
 
 
+def _gen_spec(run: BenchRun) -> GenSpec:
+    return GenSpec(**{f.name: getattr(run, f.name) for f in fields(GenSpec)})
+
+
 def build_profile(run: BenchRun) -> Profile:
     if run.kind == "cover_width":
         return cover_width_profile(run.m, run.n, run.k, run.phi, run.seed)
-    spec = GenSpec(kind=run.kind, m=run.m, n=run.n, phi=run.phi, p_max=run.p_max,
-                   k=run.k, t=run.t, b=run.b, seed=run.seed)
-    return generate(spec)
+    return generate(_gen_spec(run))
 
 
 def time_run(run: BenchRun, profile: Profile) -> float:
@@ -85,42 +106,20 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _check_types(i: int, entry: dict) -> None:
-    """Each given field's value has its ``BenchRun`` type: a bool is not an
-    int, and an int is fine for a float."""
-    hints = typing.get_type_hints(BenchRun)
-    for name in entry.keys() & {f.name for f in fields(BenchRun)}:
-        allowed = typing.get_args(hints[name]) or (hints[name],)  # ``int | None`` unpacks
-        value = entry[name]
-        if float in allowed:
-            allowed += (int,)
-        if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
-            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-            raise ParseError(f"run {i}: field {name!r} must be {names}, got {value!r}")
-
-
-def _check_values(i: int, run: BenchRun) -> None:
-    """``algo`` is one the harness runs, and ``workers`` is not negative."""
-    if run.algo not in ("mew", "mpw"):
-        raise ParseError(f"run {i}: field 'algo' must be 'mew' or 'mpw', got {run.algo!r}")
-    check_count(f"run {i}: field 'workers'", run.workers, low=0, error=ParseError)
-
-
 def parse_bench_spec(text: str) -> list[BenchRun]:
     """A JSON array of ``BenchRun`` fields, or an object holding one as ``runs``;
-    a missing ``runs``, an entry that is not an object, an unknown field or a
-    value of the wrong type or out of range raises ParseError naming the entry."""
+    a missing ``runs``, an entry that is not an object or has an unknown field,
+    and any run ``BenchRun`` refuses raise ParseError naming the entry."""
     doc = json.loads(text)
     runs = doc.get("runs") if isinstance(doc, dict) else doc
     if not isinstance(runs, list):
         raise ParseError("a bench spec is a JSON array of runs or an object with a 'runs' array")
     parsed = []
     for i, entry in enumerate(runs):
-        if isinstance(entry, dict):
-            _check_types(i, entry)
         try:
             parsed.append(BenchRun(**entry))
         except TypeError as exc:
             raise ParseError(f"run {i}: malformed entry ({exc})") from exc
-        _check_values(i, parsed[-1])
+        except MewError as exc:
+            raise ParseError(f"run {i}: {exc}") from exc
     return parsed

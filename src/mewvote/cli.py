@@ -51,14 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic profile")
     p.add_argument("kind", choices=KINDS)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--phi", type=float, default=0.5)
-    p.add_argument("--p-max", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument("--seed", type=int, required=True)
+    for f in dataclasses.fields(GenSpec)[1:]:  # after the kind; one not given is not passed on
+        p.add_argument("--" + f.name.replace("_", "-"), type=float if f.type == "float" else int,
+                       default=argparse.SUPPRESS,  # and a generated file's seed is always chosen
+                       required=f.default is dataclasses.MISSING or f.name == "seed")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bench", help="run timing benchmarks, emit CSV")
@@ -126,8 +122,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = GenSpec(kind=args.kind, m=args.m, n=args.n, phi=args.phi,
-                   p_max=args.p_max, k=args.k, t=args.t, b=args.b, seed=args.seed)
+    spec = GenSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GenSpec)
+                      if hasattr(args, f.name)})
     save_profile(generate(spec), args.out)
     print(f"wrote {args.out}")
     return 0

@@ -78,13 +78,6 @@ def _grouped(profile: Profile, grouping: bool) -> list[tuple[Voter, int]]:
     return sorted(((v, w) for v, w in groups.values()), key=lambda g: -g[1])
 
 
-def _winner_ids(profile: Profile, scores: dict[int, float]) -> tuple[str, ...]:
-    top = max(scores.values())
-    tol = WINNER_REL_TOL * max(1.0, abs(top))
-    return tuple(profile.candidates.ids[c] for c in sorted(scores)
-                 if scores[c] >= top - tol)
-
-
 def _pending(groups: list[tuple[Voter, int]], order: list[int], rule: ScoringRule,
              pruning: bool) -> tuple[list[list[float]], list[list[float]]]:
     """Rows ``hi[k]``, ``lo[k]`` for k = 0..len(order): the weighted scores at
@@ -148,10 +141,11 @@ def _solve(profile: Profile, rule: ScoringRule, groups: list[tuple[Voter, int]],
             scores[c] = high
         else:
             bounds[ids[c]] = (low, high)
-    if alive <= scores.keys():
-        winners = _winner_ids(profile, {c: scores[c] for c in alive})
-    else:  # early return: a single survivor with an open interval
-        winners = tuple(ids[c] for c in sorted(alive))
+    # the winners tie at the top of the survivors' upper ends: a lone survivor
+    # wins on any interval, and several survive only when all are solved
+    top = max(exact[c] + hi[k][c] for c in alive)
+    tol = WINNER_REL_TOL * max(1.0, abs(top))
+    winners = tuple(ids[c] for c in sorted(alive) if exact[c] + hi[k][c] >= top - tol)
     pruned = tuple(ids[c] for c in range(m) if c not in alive)
     stats = MewStats(voters=profile.n, groups=len(groups), prunings=len(pruned),
                      seconds=time.perf_counter() - t0, workers=workers)

@@ -20,17 +20,15 @@ from .preferences import (
     PartitionedPreference,
     TruncatedRanking,
     check_count,
+    check_integer,
 )
 from .profiles import Profile, Voter
-
-KINDS = (
-    "poset", "partitioned_full", "partitioned_partial", "chain", "truncated",
-    "mallows", "rim", "rsm", "mallows_po", "mallows_fp", "mallows_tr",
-)
 
 
 @dataclass(frozen=True)
 class GenSpec:
+    """A generator kind and its parameters; m, n, k (when given), t, b and seed are
+    stored as plain ints, and k, t and b are bounded where the kind's observation reads them."""
     kind: str
     m: int
     n: int
@@ -42,20 +40,22 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise ValidationError(f"unknown generator kind {self.kind!r}")
+        for name in ("m", "n", "t", "b") + ("k",) * (self.k is not None):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, low=0))
         if self.m < 2 or self.n < 1:
             raise ValidationError("need m >= 2 and n >= 1")
         if not 0.0 < self.phi <= 1.0:
             raise ValidationError(f"phi must be in (0, 1], got {self.phi}")
         if not 0.0 <= self.p_max <= 1.0:
             raise ValidationError(f"p_max must be in [0, 1], got {self.p_max}")
-        if self.kind in ("partitioned_full", "partitioned_partial", "chain", "mallows_fp"):
-            if self.k is None or not 1 <= self.k <= self.m:
-                raise InvalidK(f"k must be in [1, m], got {self.k}")
-        if self.kind in ("truncated", "mallows_tr"):
-            if self.t < 0 or self.b < 0 or self.t + self.b > self.m:
-                raise ValidationError(f"need t + b <= m, got t={self.t} b={self.b}")
+        observation = _KINDS[self.kind][1]
+        if observation in ("full", "partial", "chain") and not 1 <= (self.k or 0) <= self.m:
+            raise InvalidK(f"k must be in [1, m], got {self.k}")
+        if observation == "truncated" and (min(self.t, self.b) < 0 or self.t + self.b > self.m):
+            raise ValidationError(f"need t + b <= m, got t={self.t} b={self.b}")
 
 
 def _candidates(m: int) -> CandidateSet:
@@ -74,10 +74,6 @@ def cover_width_profile(m: int, n: int, width: int, phi: float, seed: int) -> Pr
     model = MallowsModel(tuple(range(m)), phi)
     voters = [Voter(model, PartialOrder(pairs)) for _ in range(n)]
     return Profile(_candidates(m), voters)
-
-
-def _voter_rngs(spec: GenSpec) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(spec.n)]
 
 
 def _rsm_poset(m: int, phi: float, p_max: float, rng: np.random.Generator,
@@ -116,42 +112,42 @@ def _chain(m: int, k: int, rng: np.random.Generator) -> PartialChain:
 
 def _truncated(m: int, t: int, b: int, rng: np.random.Generator) -> TruncatedRanking:
     ranking = [int(x) for x in rng.permutation(m)]
-    return TruncatedRanking(ranking[:t], ranking[m - b:] if b else [])
+    return TruncatedRanking(ranking[:t], ranking[m - b:])
+
+
+# the generation step, from the Mallows model over the identity ranking with the spec's phi
+_MODELS = {"mallows": lambda model: model, "rim": mallows_to_rim, "rsm": mallows_to_rsm}
+_OBSERVATIONS = {  # one voter's observation, from the spec and the voter's own stream
+    "poset": lambda spec, rng: _rsm_poset(spec.m, spec.phi, spec.p_max, rng),
+    "full": lambda spec, rng: _partitioned(spec.m, spec.k, False, rng),
+    "partial": lambda spec, rng: _partitioned(spec.m, spec.k, True, rng),
+    "chain": lambda spec, rng: _chain(spec.m, spec.k, rng),
+    "truncated": lambda spec, rng: _truncated(spec.m, spec.t, spec.b, rng),
+}
+_KINDS = {  # kind: (model or None for uniform, observation or None), in the order of KINDS
+    "poset": (None, "poset"),
+    "partitioned_full": (None, "full"),
+    "partitioned_partial": (None, "partial"),
+    "chain": (None, "chain"),
+    "truncated": (None, "truncated"),
+    "mallows": ("mallows", None),
+    "rim": ("rim", None),
+    "rsm": ("rsm", None),
+    "mallows_po": ("mallows", "poset"),
+    "mallows_fp": ("mallows", "full"),
+    "mallows_tr": ("mallows", "truncated"),
+}
+KINDS = tuple(_KINDS)
 
 
 def generate(spec: GenSpec) -> Profile:
     """Build the profile described by ``spec``; deterministic given the seed."""
-    m, n = spec.m, spec.n
-    rngs = _voter_rngs(spec)
-    identity = tuple(range(m))
-    voters: list[Voter] = []
-
-    if spec.kind == "poset":
-        voters = [Voter(None, _rsm_poset(m, spec.phi, spec.p_max, rng)) for rng in rngs]
-    elif spec.kind in ("partitioned_full", "partitioned_partial"):
-        partial = spec.kind == "partitioned_partial"
-        voters = [Voter(None, _partitioned(m, spec.k, partial, rng)) for rng in rngs]
-    elif spec.kind == "chain":
-        voters = [Voter(None, _chain(m, spec.k, rng)) for rng in rngs]
-    elif spec.kind == "truncated":
-        voters = [Voter(None, _truncated(m, spec.t, spec.b, rng)) for rng in rngs]
-    elif spec.kind == "mallows":
-        model = MallowsModel(identity, spec.phi)
-        voters = [Voter(model, None) for _ in range(n)]
-    elif spec.kind == "rim":
-        model = mallows_to_rim(MallowsModel(identity, spec.phi))
-        voters = [Voter(model, None) for _ in range(n)]
-    elif spec.kind == "rsm":
-        model = mallows_to_rsm(MallowsModel(identity, spec.phi))
-        voters = [Voter(model, None) for _ in range(n)]
-    elif spec.kind == "mallows_po":
-        model = MallowsModel(identity, spec.phi)
-        voters = [Voter(model, _rsm_poset(m, spec.phi, spec.p_max, rng)) for rng in rngs]
-    elif spec.kind == "mallows_fp":
-        model = MallowsModel(identity, spec.phi)
-        voters = [Voter(model, _partitioned(m, spec.k, False, rng)) for rng in rngs]
-    elif spec.kind == "mallows_tr":
-        model = MallowsModel(identity, spec.phi)
-        voters = [Voter(model, _truncated(m, spec.t, spec.b, rng)) for rng in rngs]
-
-    return Profile(_candidates(m), voters)
+    model, observation = _KINDS[spec.kind]
+    model = model and _MODELS[model](MallowsModel(tuple(range(spec.m)), spec.phi))
+    if observation is None:
+        voters = [Voter(model, None) for _ in range(spec.n)]
+    else:  # each voter draws from its own stream
+        observe = _OBSERVATIONS[observation]
+        voters = [Voter(model, observe(spec, np.random.default_rng(s)))
+                  for s in np.random.SeedSequence(spec.seed).spawn(spec.n)]
+    return Profile(_candidates(spec.m), voters)

@@ -30,7 +30,7 @@ from .errors import (CycleDetected, OverlapViolation, TooLarge, UnknownCandidate
 Ranking = tuple[int, ...]
 
 COMPLETION_CAP = 1_000_000  # linear extensions one enumeration may list
-IDEAL_BUDGET = 1 << 18  # order ideals one counting pass may visit
+IDEAL_BUDGET = 1 << 18  # order ideals one counting pass may visit, read at each call
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ class PartialOrder:
     pairs: frozenset[tuple[int, int]]
 
     def __init__(self, pairs):
-        object.__setattr__(self, "pairs", frozenset((int(a), int(b)) for a, b in pairs))
+        object.__setattr__(self, "pairs", frozenset((candidate_index(a), candidate_index(b))
+                                                  for a, b in pairs))
 
     @cached_property
     def closure(self) -> frozenset[tuple[int, int]]:
@@ -136,7 +137,7 @@ class PartialChain:
     chain: tuple[int, ...]
 
     def __init__(self, chain):
-        object.__setattr__(self, "chain", tuple(int(c) for c in chain))
+        object.__setattr__(self, "chain", tuple(map(candidate_index, chain)))
 
     def to_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(
@@ -154,8 +155,8 @@ class TruncatedRanking:
     bottom: tuple[int, ...]
 
     def __init__(self, top, bottom):
-        object.__setattr__(self, "top", tuple(int(c) for c in top))
-        object.__setattr__(self, "bottom", tuple(int(c) for c in bottom))
+        object.__setattr__(self, "top", tuple(map(candidate_index, top)))
+        object.__setattr__(self, "bottom", tuple(map(candidate_index, bottom)))
 
     def middle(self, m: int) -> frozenset[int]:
         return frozenset(range(m)) - set(self.top) - set(self.bottom)
@@ -176,20 +177,31 @@ def check_observation(obs) -> None:
         raise Unsupported(f"unknown observation type {type(obs).__name__}")
 
 
-def check_count(name: str, value, low: int = 1, error: type[Exception] = ValidationError) -> int:
+def check_integer(name: str, value, error: type[Exception] = ValidationError) -> int:
     """``value`` as a plain int when it is an integer (a numpy one too, but not a
-    bool) of at least ``low``; otherwise ``error`` naming ``name`` is raised."""
+    bool); otherwise ``error`` naming ``name`` is raised."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise error(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise error(f"{name} must be >= {low}, got {value}")
     return int(value)
 
 
+def check_count(name: str, value, low: int = 1, error: type[Exception] = ValidationError) -> int:
+    """``check_integer``'s int when it is at least ``low``; otherwise ``error`` naming ``name``."""
+    value = check_integer(name, value, error)
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def candidate_index(c) -> int:
+    """``c`` as a plain int, in range or not; one that is not an integer is unknown."""
+    return c if type(c) is int else check_integer("candidate index", c, UnknownCandidate)
+
+
 def check_candidate(c: int, m: int) -> None:
-    """Reject a candidate index that is not an integer (``check_count``) in 0..m-1."""
+    """Reject a candidate index that is not an integer (``candidate_index``) in 0..m-1."""
     if type(c) is not int:
-        c = check_count("candidate index", c, low=0, error=UnknownCandidate)
+        c = candidate_index(c)
     if not 0 <= c < m:
         raise UnknownCandidate(f"candidate index {c} outside 0..{m - 1}")
 
@@ -350,10 +362,11 @@ def ancestor_masks(obs: Observation | None, m: int) -> tuple[int, ...]:
 
 
 def ideal_levels(anc_masks: tuple[int, ...] | list[int], edges=None,
-                 budget: int = IDEAL_BUDGET) -> list[dict[int, int | float]]:
+                 budget: int | None = None) -> list[dict[int, int | float]]:
     """levels[s][S] = orderings of the order ideal S of size s, so levels[k][full]
     counts the linear extensions.  Item x (bit x) extends ideal S when S holds
-    ``anc_masks[x]``.  More than ``budget`` ideals raise TooLarge.
+    ``anc_masks[x]``.  More than ``budget`` ideals, ``IDEAL_BUDGET`` as it
+    stands at the call by default, raise TooLarge.
 
     Given an insertion model's ``edges``, one ``(row, prefix)`` pair per item
     (x's insertion row and the bit mask of the items inserted before x),
@@ -362,7 +375,7 @@ def ideal_levels(anc_masks: tuple[int, ...] | list[int], edges=None,
     divided by its own total, so no level underflows; a level of no mass
     raises ZeroPosterior.
     """
-    k = len(anc_masks)
+    k, budget = len(anc_masks), IDEAL_BUDGET if budget is None else budget
     steps = [(1 << x, anc, edges and edges[x]) for x, anc in enumerate(anc_masks)]
     levels = [{0: 1}]
     seen = 1

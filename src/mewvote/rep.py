@@ -70,7 +70,6 @@ from .models import (
     validate_reference,
 )
 from .preferences import (
-    IDEAL_BUDGET,
     Observation,
     PartialOrder,
     Ranking,
@@ -78,6 +77,7 @@ from .preferences import (
     ancestor_masks,
     bucket_layout,
     bucket_window,
+    candidate_index,
     check_candidate,
     cover_width,
     ideal_levels,
@@ -145,7 +145,7 @@ def _reference_index(c: int, sigma: Ranking) -> int:
     """``c``'s 0-based place in a model's reference ranking; UnknownCandidate
     when the model does not hold ``c``."""
     try:
-        return sigma.index(c)
+        return sigma.index(candidate_index(c))
     except ValueError:
         raise UnknownCandidate(f"candidate {c!r} is not in the model's reference ranking") from None
 
@@ -277,7 +277,7 @@ def rep_rim_poset(c: int, model: RimModel | MallowsModel, obs: Observation,
     As the cap does not bound the states, a step past ``IDEAL_BUDGET`` raises too.
     """
     sigma, pi = model.sigma, model.pi
-    m = len(sigma)
+    m, budget = len(sigma), preferences.IDEAL_BUDGET
     _reference_index(c, sigma)
     anc_masks = ancestor_masks(obs, m)  # validates obs against m
     cw = cover_width(sigma, obs)
@@ -317,9 +317,9 @@ def rep_rim_poset(c: int, model: RimModel | MallowsModel, obs: Observation,
                     newpos[u_slot] = j
                 key = tuple(newpos)
                 nstates[key] = nstates.get(key, 0.0) + mass * pr
-            if len(nstates) > IDEAL_BUDGET:  # read per call, so a test can lower it
+            if len(nstates) > budget:
                 raise CoverWidthExceeded(f"cover width {cw}: step {i} of {m} holds more than "
-                                         f"{IDEAL_BUDGET} tracked-item states")
+                                         f"{budget} tracked-item states")
         scale = sum(nstates.values())
         if 0.0 < scale < STATE_FLOOR:
             nstates = {key: mass / scale for key, mass in nstates.items()}
@@ -464,7 +464,7 @@ def _ideal_route(sigma: Ranking, obs: Observation, m: int) -> bool:
     order ideals, the second bound being about the tracked-item DP's states
     at cover width cw.  The lattice size is the product of the poset's
     components' counts, each walk stopped at what the bound leaves it."""
-    limit = min(IDEAL_BUDGET, m ** (cover_width(sigma, obs) + 1))
+    limit = min(preferences.IDEAL_BUDGET, m ** (cover_width(sigma, obs) + 1))
     anc_masks = ancestor_masks(obs, m)
     components = _components(anc_masks)
     count = 2 ** sum(len(items) == 1 for items in components)
@@ -613,7 +613,8 @@ def voter_support(voter: Voter, m: int) -> list[tuple[Ranking, float]]:
 
 
 def clear_caches() -> None:
-    """Empty every ``lru_cache`` in this module, ``preferences`` and ``models``."""
+    """Empty every ``lru_cache`` in this module, ``preferences`` and ``models``; call
+    it after changing ``preferences.IDEAL_BUDGET``, as cached routes were chosen under it."""
     for namespace in (vars(models), vars(preferences), globals()):
         for obj in namespace.values():
             if hasattr(obj, "cache_clear"):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidK, InvalidRule, RankOutOfRange
+from .preferences import check_integer
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ def make_rule(kind: str, m: int, k: int | None = None) -> ScoringRule:
     if kind == "borda":
         return ScoringRule("borda", list(range(m - 1, -1, -1)))
     if kind == "k_approval":
-        if k is None or not 1 <= k < m:
+        if k is None or not 1 <= check_integer("k", k, InvalidK) < m:
             raise InvalidK(f"k must be in [1, {m - 1}], got {k}")
         return ScoringRule(f"{k}-approval", [1] * k + [0] * (m - k))
     raise InvalidRule(f"unknown rule kind {kind!r}")

@@ -5,7 +5,7 @@ import pytest
 from conftest import solver_caches, wide_second_group_profile
 
 import mewvote.bench as bench
-from mewvote import ParseError, save_profile
+from mewvote import GenSpec, ParseError, ValidationError, generate, save_profile, serialize_profile
 from mewvote.cli import main
 from mewvote.rep import _uniform_poset_table
 
@@ -202,8 +202,44 @@ def test_bench_spec_fields_are_checked_against_their_types(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err.startswith("error: run 1: malformed entry"), err
     # an int is fine for a float, and null for an optional int
-    runs = bench.parse_bench_spec(json.dumps([{"kind": "chain", "phi": 1, "k": None}]))
-    assert runs == [bench.BenchRun(kind="chain", phi=1, k=None)]
+    runs = bench.parse_bench_spec(json.dumps([{"kind": "poset", "phi": 1, "k": None}]))
+    assert runs == [bench.BenchRun(kind="poset", phi=1, k=None)]
+
+
+def test_a_bench_run_is_checked_where_it_is_built(capsys, tmp_path, monkeypatch):
+    bad = [({"algo": "bogus"}, "field 'algo' must be 'mew' or 'mpw', got 'bogus'"),
+           ({"workers": -3}, "field 'workers' must be >= 0, got -3"),
+           ({"pruning": "no"}, "field 'pruning' must be bool, got 'no'"),
+           ({"kind": "chain"}, "k must be in [1, m], got None"),
+           ({"p_max": 2.0}, "p_max must be in [0, 1], got 2.0"),
+           ({"rule": "k-approval:10"}, "k must be in [1, 9], got 10")]
+    for fields, message in bad:
+        with pytest.raises(ValidationError) as info:
+            bench.BenchRun(**{"kind": "poset", **fields})
+        assert str(info.value) == message
+    bench.BenchRun(kind="cover_width", k=3)  # its width is checked when its profile is built
+    # so a spec whose later run is bad times none of the earlier ones, and writes nothing
+    monkeypatch.setattr(bench, "time_run", lambda run, profile: pytest.fail("a run was timed"))
+    spec_file, csv_file = tmp_path / "bench.json", tmp_path / "out.csv"
+    spec_file.write_text(json.dumps([{"kind": "poset", "m": 4, "n": 2},
+                                     {"kind": "poset", "p_max": 2.0}]))
+    code, out, err = run_cli(capsys, "bench", "--spec", str(spec_file), "--out", str(csv_file))
+    assert (code, out, err) == (1, "", "error: run 1: p_max must be in [0, 1], got 2.0\n")
+    assert not csv_file.exists()
+
+
+def test_gen_passes_only_the_options_given(capsys, tmp_path):
+    out_file = tmp_path / "gen.profile"
+    code, _, _ = run_cli(capsys, "gen", "mallows_tr", "--m", "6", "--n", "4", "--t", "2",
+                         "--seed", "3", "--out", str(out_file))
+    assert code == 0
+    expected = generate(GenSpec(kind="mallows_tr", m=6, n=4, t=2, seed=3))
+    assert out_file.read_text() == serialize_profile(expected)
+    for args, message in [(("poset", "--seed", "-1"), "seed must be >= 0, got -1"),
+                          (("chain", "--seed", "1"), "k must be in [1, m], got None")]:
+        code, out, err = run_cli(capsys, "gen", *args, "--m", "5", "--n", "3",
+                                 "--out", str(out_file))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_bench_refuses_fewer_than_one_repeat(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -15,7 +16,7 @@ from mewvote import (
     serialize_profile,
     validate,
 )
-from mewvote.generators import _rsm_poset
+from mewvote.generators import KINDS, _rsm_poset
 
 
 @pytest.mark.parametrize("kind,extra", [
@@ -140,8 +141,46 @@ def test_parameter_validation():
     ({"n": 0}, "need m >= 2 and n >= 1"),
     ({"p_max": 1.5}, r"p_max must be in \[0, 1\], got 1.5"),
     ({"p_max": -0.1}, r"p_max must be in \[0, 1\], got -0.1"),
+    # the integer rule for m, n, k when given, t and b (the seed's is a count's, at least 0)
+    ({"m": 5.5}, "^m must be an integer, got 5.5$"),
+    ({"n": True}, "^n must be an integer, got True$"),
+    ({"k": 2.0}, "^k must be an integer, got 2.0$"),
+    ({"t": 1.0}, "^t must be an integer, got 1.0$"),
+    ({"b": "1"}, "^b must be an integer, got '1'$"),
 ])
 def test_spec_sizes_and_edge_probability_are_checked(fields, message):
     with pytest.raises(ValidationError, match=message) as info:
         GenSpec(**{"kind": "poset", "m": 5, "n": 3, **fields})
     assert type(info.value) is ValidationError
+
+
+def test_spec_stores_plain_ints():
+    spec = GenSpec(kind="chain", m=np.int64(5), n=np.int32(3), k=np.int64(2), t=np.int8(1),
+                   b=np.int64(0), seed=np.uint16(4))
+    assert all(type(getattr(spec, name)) is int for name in ("m", "n", "k", "t", "b", "seed"))
+    assert spec == GenSpec(kind="chain", m=5, n=3, k=2, t=1, b=0, seed=4)
+
+
+# sha256 of each kind's document at m=6, n=5, p_max 0.4, k=3, t=2, b=1, seed 11: every
+# benchmark workload, the differential record and the criteria read these bytes
+GENERATED_SHA256 = {
+    "poset": "b7a91c072032090df9e7fe071c8500f8d2abe5fe7e9a14ab6f6be13609d888b4",
+    "partitioned_full": "5e60cfe4820ae73cb4d8ca245fdcda688464e5b218a0baea79b706e86cfef38c",
+    "partitioned_partial": "2a4055f5acda5c92d55e86c948243347a6b091e5b2923aecdd2ac62dc565da65",
+    "chain": "0189170fffea190ac0d14173eeedfb5574c9a419666c7060f822eb589ecca0aa",
+    "truncated": "0b50e4ba4e6b9777c8769d955d844d27cda994599c0fc804f7b77a0cfbb566f1",
+    "mallows": "17de6342f7b4e876fb7e7392765331a20ed89dbf52ccd8c9974788fc6860724b",
+    "rim": "424aab78493e7722cd96c58cd95c45127e74e1a2772a32d08b00930955d2c722",
+    "rsm": "2c6c74f0c754a17a0fde80d5ea42b34d888ac22cddd3b5c8d1ab79e169123cc3",
+    "mallows_po": "809b8818ffe5f6da6eeb880356049983df58b79667b8528a21d78e4b48b8c5c3",
+    "mallows_fp": "fb2b75499864435ed3912fcb7fdf80e724d5cf72105e9158ebff7977ae2aa1bf",
+    "mallows_tr": "6d2a832500db1d9f60e2fb105bd5d348877534acea85dcf5b4a6fd02975a37e1",
+}
+
+
+def test_generated_profiles_are_byte_stable():
+    assert KINDS == tuple(GENERATED_SHA256)  # the differential's matrix and the CLI's order
+    for kind, digest in GENERATED_SHA256.items():
+        spec = GenSpec(kind=kind, m=6, n=5, p_max=0.4, k=3, t=2, b=1, seed=11)
+        text = serialize_profile(generate(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, kind

@@ -36,7 +36,7 @@ from mewvote import (
     voter_support,
 )
 from mewvote.bench import parse_bench_spec, run_bench
-from mewvote.generators import cover_width_profile
+from mewvote.generators import GenSpec, cover_width_profile
 from mewvote.preferences import ancestor_masks, bucket_layout, bucket_window, tracked_items
 from mewvote.rep import closed_form, shared_table
 
@@ -377,10 +377,12 @@ COUNTS = {  # argument: (call, error class, expected message)
     "mpw-state-cap": (lambda v: mpw(Profile(ABC, [Voter()]), make_rule("borda", 3), state_cap=v),
                       ValidationError, _count_rule("state_cap")),
     "bench-repeat": (lambda v: run_bench([], repeat=v), ValidationError, _count_rule("repeat")),
-    "spec-workers": (lambda v: parse_bench_spec(json.dumps([{"kind": "chain", "workers": v}])),
+    "spec-workers": (lambda v: parse_bench_spec(json.dumps([{"kind": "poset", "workers": v}])),
                      ParseError, _spec_workers),
     "cover-width": (lambda v: cover_width_profile(6, 1, v, 0.5, 0), ValidationError,
                     _count_rule("cover width")),
+    "gen-seed": (lambda v: GenSpec(kind="poset", m=5, n=3, seed=v), ValidationError,
+                 _count_rule("seed", low=0)),
 }
 
 
@@ -394,6 +396,26 @@ def test_every_count_is_an_integer_of_at_least_its_floor(argument, value):
     with pytest.raises(error) as info:
         call(value)
     assert type(info.value) is error and str(info.value) == message(value)
+
+
+OBSERVATION_ITEMS = {  # an observation built around one candidate index
+    "poset-upper": lambda c: PartialOrder([(c, 1)]),
+    "poset-lower": lambda c: PartialOrder([(1, c)]),
+    "chain": lambda c: PartialChain((c, 0)),
+    "truncated-top": lambda c: TruncatedRanking((c,), ()),
+    "truncated-bottom": lambda c: TruncatedRanking((), (c,)),
+}
+
+
+@pytest.mark.parametrize("build", OBSERVATION_ITEMS.values(), ids=list(OBSERVATION_ITEMS))
+def test_observations_take_candidate_indices_by_the_integer_rule(build):
+    for c in (0.9, 1.7, True, "2"):
+        with pytest.raises(UnknownCandidate, match="^candidate index must be an integer, got "):
+            build(c)
+    # an integer is stored as a plain int (numpy's repr differs), and its range waits for m
+    assert repr(build(np.int64(2))) == repr(build(2))
+    with pytest.raises(UnknownCandidate, match="outside 0..3"):
+        validate(build(-1), 4)
 
 
 def _route_voters(m):

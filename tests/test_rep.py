@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mewvote.models as models
+import mewvote.preferences as preferences
 import mewvote.rep as rep
 from mewvote import (
     CoverWidthExceeded,
@@ -478,7 +479,7 @@ _CANDIDATE_SOLVERS = {  # every public per-candidate solver, on a voter over can
 @pytest.mark.parametrize("solver", list(_CANDIDATE_SOLVERS))
 def test_every_solver_rejects_a_candidate_it_does_not_hold(solver):
     solve = _CANDIDATE_SOLVERS[solver]
-    for c in (-1, 4, 7):
+    for c in (-1, 4, 7, True, 1.0):  # a bool or a float is no index, even of a held candidate
         with pytest.raises(UnknownCandidate):
             solve(c)
     for c in range(4):
@@ -664,10 +665,26 @@ def test_tracked_item_dp_bounds_its_states_per_step(monkeypatch):
     model, obs = voter.model, voter.observation
     assert np.allclose(rep_rim_poset(0, model, obs), rep._insertion_table(model, obs, 10)[0],
                        rtol=0, atol=1e-12)
-    monkeypatch.setattr(rep, "IDEAL_BUDGET", 10_000)
+    monkeypatch.setattr(preferences, "IDEAL_BUDGET", 10_000)
     with pytest.raises(CoverWidthExceeded,
                        match=r"^cover width 6: step \d+ of 10 holds more than 10000 "):
         rep_rim_poset(0, model, obs)
+
+
+def test_the_ideal_budget_is_read_where_it_is_checked(monkeypatch):
+    # item 0 above the other five: 33 order ideals, so a budget of 16 refuses both
+    # tables, and one restored (then the caches emptied) takes them again
+    star = PartialOrder([(0, x) for x in range(1, 6)])
+    uniform, mallows = Voter(None, star), Voter(MallowsModel(tuple(range(6)), 0.5), star)
+    rep.clear_caches()
+    monkeypatch.setattr(preferences, "IDEAL_BUDGET", 16)
+    with pytest.raises(TooLarge, match="past the budget of 16$"):
+        rep_dispatch(0, uniform, 6)
+    assert rep.shared_table(mallows, 6) is None  # the tracked-item DP solves it instead
+    monkeypatch.undo()
+    rep.clear_caches()
+    assert rep_dispatch(0, uniform, 6)[0] == 1.0
+    assert rep.shared_table(mallows, 6) is not None
 
 
 # --- insertion models given a poset: one table over the order ideals -------

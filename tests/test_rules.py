@@ -78,6 +78,8 @@ def test_score_array_is_a_read_only_copy_of_the_scores():
     (lambda: make_rule("borda", 1), InvalidRule, "need at least 2 candidates"),
     (lambda: make_rule("copeland", 3), InvalidRule, "unknown rule kind 'copeland'"),
     (lambda: parse_rule("k-approval:x", 3), InvalidK, "bad k-approval spec 'k-approval:x'"),
+    (lambda: make_rule("k_approval", 4, 1.5), InvalidK, "^k must be an integer, got 1.5$"),
+    (lambda: make_rule("k_approval", 4, True), InvalidK, "^k must be an integer, got True$"),
     (lambda: parse_rule("custom:1,a,0", 3), InvalidRule, "bad custom score vector 'custom:1,a,0'"),
     (lambda: parse_rule("custom:1,1/0,0", 3), InvalidRule,
      "bad custom score vector 'custom:1,1/0,0'"),
