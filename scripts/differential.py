@@ -28,6 +28,11 @@ record's count of bounds intervals with lo >= hi; the same verdict on the
 ``worlds_explored`` or error class (of a run or of a voter's rows) differs,
 or if the two matrices differ.  Run it with ``PYTHONPATH`` at the ``src`` of
 the checkout to record.
+
+Before recording, the script sets ``mewvote.engine.FORK_AFTER_S = 0``, so
+``mew_parallel`` forks at once on every case, as it would on a large profile,
+and the records compare forked results.  A checkout whose ``mew_parallel``
+always forks ignores the attribute.
 """
 
 import argparse
@@ -200,6 +205,7 @@ def main() -> None:
             with open(path) as fh:
                 docs.append(json.load(fh))
         sys.exit(compare(*docs))
+    mv.engine.FORK_AFTER_S = 0  # every mew_parallel run deals its case to forked workers
     text = json.dumps(run_matrix(args.quick), indent=1, sort_keys=True)
     if args.out == "-":
         print(text)

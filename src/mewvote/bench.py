@@ -24,7 +24,8 @@ from .rules import parse_rule
 class BenchRun:
     """One timed configuration, checked as it is built: each field has its declared
     type (a bool is not an int; an int is fine for a float), and ``algo``,
-    ``workers``, ``rule`` and, for any kind but ``cover_width``, its ``GenSpec`` are valid."""
+    ``workers``, ``rule`` and its ``GenSpec`` are valid; for ``cover_width``, its
+    one-voter profile builds instead (its width is k, an integer in 1..m-1)."""
     kind: str                  # a generator kind, or "cover_width" (its width is k)
     algo: str = "mew"          # mew | mpw
     m: int = 10
@@ -52,7 +53,9 @@ class BenchRun:
         if self.algo not in ("mew", "mpw"):
             raise ValidationError(f"field 'algo' must be 'mew' or 'mpw', got {self.algo!r}")
         check_count("field 'workers'", self.workers, low=0)
-        if self.kind != "cover_width":
+        if self.kind == "cover_width":  # checks the width against m, and phi
+            cover_width_profile(self.m, 1, self.k, self.phi)
+        else:
             _gen_spec(self)
         parse_rule(self.rule, self.m)
 
@@ -67,7 +70,7 @@ def _gen_spec(run: BenchRun) -> GenSpec:
 
 def build_profile(run: BenchRun) -> Profile:
     if run.kind == "cover_width":
-        return cover_width_profile(run.m, run.n, run.k, run.phi, run.seed)
+        return cover_width_profile(run.m, run.n, run.k, run.phi)
     return generate(_gen_spec(run))
 
 

@@ -16,7 +16,7 @@ import sys
 
 from . import bench as bench_mod
 from .engine import mew, mew_parallel
-from .errors import MewError, TooLarge
+from .errors import MewError, TooLarge, ValidationError
 from .generators import GenSpec, KINDS, generate
 from .mpw import STATE_CAP, mpw
 from .oracle import oracle_expected_scores, oracle_mpw
@@ -40,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-pruning", action="store_true")
     p.add_argument("--no-grouping", action="store_true")
     p.add_argument("--parallel", type=int, metavar="W", default=0,
-                   help="worker processes, this one included (disables pruning; 0 = sequential)")
+                   help="worker processes, this one included (disables pruning, "
+                        "not combined with --no-grouping; 0 = sequential)")
 
     p = sub.add_parser("mpw", help="most probable winner")
     _add_profile_rule(p)
@@ -77,6 +78,8 @@ def _load(args):
 
 
 def _cmd_mew(args) -> int:
+    if args.parallel and args.no_grouping:  # mew_parallel always groups
+        raise ValidationError("--parallel groups identical voters; drop --no-grouping")
     profile, rule = _load(args)
     if args.parallel:  # a negative count reaches mew_parallel, which refuses it
         result = mew_parallel(profile, rule, workers=args.parallel)

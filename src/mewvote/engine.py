@@ -14,9 +14,11 @@ Grouping never changes the winner set, nor does pruning when every group
 solves.  Pruning stops once one candidate is alive, so a group it never
 reaches cannot raise: a voter whose observation has zero posterior, or one
 past a solver budget, then gives winners where ``pruning=False`` raises.
-The parallel mode solves one share of the scores in the caller and the others
-in forked children, then runs the same loop with pruning off, so its output is
-bit-identical for any worker count and equals ``mew(pruning=False)``.
+The parallel mode runs the same loop with pruning off, solving in the caller
+until the work left looks long enough to pay for a fork (``FORK_AFTER_S``);
+it then solves one share of what is left in the caller and the others in
+forked children.  Its output is bit-identical for any worker count and any
+fork point, and equals ``mew(pruning=False)``.
 
 The engine solves through ``rep`` alone; the possible-worlds oracle that
 checks it (and owns the expected regret) is never imported here.
@@ -40,6 +42,11 @@ from .rules import ScoringRule, check_rule_size
 
 # the tie tolerance, and the pruning margin too: a narrower margin could prune a co-winner
 WINNER_REL_TOL = 1e-9
+# seconds of solving after which ``mew_parallel`` may fork, read at each call: the
+# about 4 ms a fork and join added to a call on a 2-core box with the other core
+# idle.  A call that forks with that much work left, or waits that long before
+# forking, then loses at most about 2 ms to the better choice.
+FORK_AFTER_S = 0.004
 
 
 @dataclass(frozen=True)
@@ -207,31 +214,70 @@ def _run_shares(fn: Callable, shares: list) -> list:
             proc.join()
 
 
-def mew_parallel(profile: Profile, rule: ScoringRule, workers: int = 1) -> MewResult:
-    """Winner determination with the scoring work split across processes.
+def _fork_pays(spent: float, solved: int, left: int) -> bool:
+    """Whether ``mew_parallel``, ``spent`` seconds into solving and past
+    ``FORK_AFTER_S``, forks now: the ``left`` (group, candidate) units still to
+    solve would take at least ``FORK_AFTER_S`` more at the pace of the ``solved``
+    ones."""
+    return spent * left >= FORK_AFTER_S * solved
 
-    Each group's candidates are cut into ``ceil(workers / groups)`` slices, and
-    the (group, slice) units are dealt round-robin into ``min(workers, units)``
+
+def _forked_scores(groups: list[tuple[Voter, int]], rule: ScoringRule, workers: int,
+                   rest: list[tuple[int, list[int]]]) -> dict[tuple[int, int], float]:
+    """The scores of the (group, candidates) pairs ``rest``, by (group, candidate).
+
+    Each group's candidates are cut into ``ceil(workers / len(rest))`` slices, and
+    the (group, slice) units are dealt round-robin into at most ``workers``
     shares.  A group whose rows are read from one ``rep.shared_table`` has that
     table built here before any fork when its candidates are split, so it is
     built once, not once per share.  This process solves share 0 while each
-    other share runs in a forked child; the engine loop then runs with pruning
-    off, so the result is bit-identical for any worker count and equals
+    other share runs in a forked child.
+    """
+    k = min(rule.m, -(-workers // len(rest)))  # candidate slices per group
+    if k > 1:  # the children inherit the built tables
+        for gi, _ in rest:
+            shared_table(groups[gi][0], rule.m)
+    units = [(gi, cands[j::k]) for gi, cands in rest for j in range(min(k, len(cands)))]
+    shares = [[(gi, c) for gi, cands in units[i::workers] for c in cands]
+              for i in range(min(workers, len(units)))]
+    parts = _run_shares(lambda share: [expected_score(c, groups[gi][0], rule)
+                                       for gi, c in share], shares)
+    return {pair: s for share, part in zip(shares, parts) for pair, s in zip(share, part)}
+
+
+def mew_parallel(profile: Profile, rule: ScoringRule, workers: int = 1) -> MewResult:
+    """Winner determination with the scoring work split across processes.
+
+    The engine loop runs with pruning off and solves each group's candidates
+    here, in order.  Before each (group, candidate) unit it checks whether a
+    fork pays (``_fork_pays``): once ``FORK_AFTER_S`` seconds went into solving
+    and the units left would take that long again, the rest of this group and
+    the later groups are dealt across ``workers`` processes
+    (``_forked_scores``), and the loop goes on from their scores.  Set
+    ``engine.FORK_AFTER_S = 0`` to deal the whole profile at once.  Every score
+    is the same ``expected_score`` call, added in group order, so the result is
+    bit-identical for any worker count and fork point and equals
     ``mew(pruning=False)``.
     """
     t0 = time.perf_counter()
     check_rule_size(rule, profile.m)
     workers = check_count("workers", workers, error=InvalidRule)
     groups = _grouped(profile, grouping=True)
-    k = min(rule.m, -(-workers // len(groups)))  # candidate slices per group
-    if k > 1:  # the children inherit the built tables
-        for voter, _ in groups:
-            shared_table(voter, rule.m)
-    units = [(gi, range(j, rule.m, k)) for gi in range(len(groups)) for j in range(k)]
-    shares = [[(gi, c) for gi, cands in units[i::workers] for c in cands]
-              for i in range(min(workers, len(units)))]
-    parts = _run_shares(lambda share: [expected_score(c, groups[gi][0], rule)
-                                       for gi, c in share], shares)
-    scores = {pair: s for share, part in zip(shares, parts) for pair, s in zip(share, part)}
-    return _solve(profile, rule, groups, lambda gi, cands: [scores[gi, c] for c in cands],
-                  pruning=False, t0=t0, workers=workers)
+    forked: dict[tuple[int, int], float] = {}  # filled once, by the one fork
+    start = time.perf_counter()
+    due = start + FORK_AFTER_S if workers > 1 else float("inf")
+
+    def group_scores(gi: int, cands: list[int]) -> list[float]:
+        if forked:
+            return [forked[gi, c] for c in cands]
+        voter, m, scores = groups[gi][0], len(cands), []  # pruning off: m candidates a group
+        for j, c in enumerate(cands):
+            now = time.perf_counter()
+            if now >= due and _fork_pays(now - start, gi * m + j, (len(groups) - gi) * m - j):
+                rest = [(gi, cands[j:])] + [(g, cands) for g in range(gi + 1, len(groups))]
+                forked.update(_forked_scores(groups, rule, workers, rest))
+                return scores + [forked[gi, c] for c in cands[j:]]
+            scores.append(expected_score(c, voter, rule))
+        return scores
+
+    return _solve(profile, rule, groups, group_scores, pruning=False, t0=t0, workers=workers)

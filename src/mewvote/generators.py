@@ -62,7 +62,7 @@ def _candidates(m: int) -> CandidateSet:
     return CandidateSet(tuple(f"c{i + 1}" for i in range(m)))
 
 
-def cover_width_profile(m: int, n: int, width: int, phi: float, seed: int) -> Profile:
+def cover_width_profile(m: int, n: int, width: int, phi: float) -> Profile:
     """Profiles whose posets pin the insertion DP's tracked-item count to ``width``.
 
     The first ``width`` reference items are each preferred to the last one, so

@@ -167,8 +167,9 @@ def wide_second_group_profile():
     """A uniform voter of weight 2, then a Mallows voter whose poset puts c1..c7
     above c24 and leaves the rest unrelated: cover width 7, past the tracked-item
     DP's cap, and 129 * 2^16 order ideals, past the ideal DP's budget, so
-    solving it raises CoverWidthExceeded.  ``mew_parallel(workers=2)`` deals
-    that second group to its forked child."""
+    solving it raises CoverWidthExceeded.  ``mew_parallel(workers=2)``, told to
+    deal the whole profile at once (``engine.FORK_AFTER_S = 0``), deals that
+    second group to its forked child."""
     m = 24
     wide = PartialOrder([(i, m - 1) for i in range(7)])
     return Profile(candidate_set(*(f"c{i + 1}" for i in range(m))),

@@ -81,6 +81,17 @@ def test_negative_parallel_count_is_an_input_error(capsys, data_dir):
     assert "workers must be >= 1, got -3" in err
 
 
+def test_parallel_with_no_grouping_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "three.profile"
+    code, _, _ = run_cli(capsys, "gen", "mallows", "--m", "4", "--n", "3", "--seed", "0",
+                         "--out", str(path))
+    assert code == 0
+    code, out, err = run_cli(capsys, "mew", "--profile", str(path), "--rule", "plurality",
+                             "--parallel", "2", "--no-grouping")
+    assert (code, out) == (1, "")
+    assert err == "error: --parallel groups identical voters; drop --no-grouping\n"
+
+
 def test_parallel_child_resource_cap_exit_code(capsys, tmp_path):
     path = tmp_path / "wide.profile"
     save_profile(wide_second_group_profile(), path)
@@ -217,7 +228,7 @@ def test_a_bench_run_is_checked_where_it_is_built(capsys, tmp_path, monkeypatch)
         with pytest.raises(ValidationError) as info:
             bench.BenchRun(**{"kind": "poset", **fields})
         assert str(info.value) == message
-    bench.BenchRun(kind="cover_width", k=3)  # its width is checked when its profile is built
+    bench.BenchRun(kind="cover_width", k=3)
     # so a spec whose later run is bad times none of the earlier ones, and writes nothing
     monkeypatch.setattr(bench, "time_run", lambda run, profile: pytest.fail("a run was timed"))
     spec_file, csv_file = tmp_path / "bench.json", tmp_path / "out.csv"
@@ -225,6 +236,22 @@ def test_a_bench_run_is_checked_where_it_is_built(capsys, tmp_path, monkeypatch)
                                      {"kind": "poset", "p_max": 2.0}]))
     code, out, err = run_cli(capsys, "bench", "--spec", str(spec_file), "--out", str(csv_file))
     assert (code, out, err) == (1, "", "error: run 1: p_max must be in [0, 1], got 2.0\n")
+    assert not csv_file.exists()
+
+
+@pytest.mark.parametrize("k, message", [(None, "cover width must be an integer, got None"),
+                                        (0, "cover width must be >= 1, got 0"),
+                                        (6, "cover width must be <= 5, got 6")])
+def test_a_cover_width_run_is_checked_where_it_is_built(capsys, tmp_path, monkeypatch,
+                                                        k, message):
+    with pytest.raises(ValidationError, match=message):
+        bench.BenchRun(kind="cover_width", m=6, k=k)
+    monkeypatch.setattr(bench, "time_run", lambda run, profile: pytest.fail("a run was timed"))
+    spec_file, csv_file = tmp_path / "bench.json", tmp_path / "out.csv"
+    spec_file.write_text(json.dumps([{"kind": "poset", "m": 4, "n": 2},
+                                     {"kind": "cover_width", "m": 6, "k": k}]))
+    code, out, err = run_cli(capsys, "bench", "--spec", str(spec_file), "--out", str(csv_file))
+    assert (code, out, err) == (1, "", f"error: run 1: {message}\n")
     assert not csv_file.exists()
 
 

@@ -328,7 +328,13 @@ def test_closed_form_groups_are_solved_exactly_with_no_bound(monkeypatch):
         assert score == pytest.approx(ref.expected_scores[name], abs=1e-9)
 
 
-def test_parallel_is_bit_identical_across_worker_counts():
+def _fork_at_once(monkeypatch):
+    """Make ``mew_parallel`` deal the whole profile to its workers, as a large one would be."""
+    monkeypatch.setattr(importlib.import_module("mewvote.engine"), "FORK_AFTER_S", 0)
+
+
+def test_parallel_is_bit_identical_across_worker_counts(monkeypatch):
+    _fork_at_once(monkeypatch)
     rng = np.random.default_rng(28)
     prof = random_supported_profile(rng, m_range=(4, 6), n_range=(5, 5), world_budget=2000)
     # identical voters form one group, whose candidates are split across the workers
@@ -351,7 +357,8 @@ def _three_groups():
                     Voter(MallowsModel((3, 1, 0, 2), 0.6), PartialChain((1, 2)))])
 
 
-def test_parallel_reraises_a_child_error_and_leaves_no_process():
+def test_parallel_reraises_a_child_error_and_leaves_no_process(monkeypatch):
+    _fork_at_once(monkeypatch)
     prof = wide_second_group_profile()
     with pytest.raises(CoverWidthExceeded) as raised:
         mew_parallel(prof, make_rule("borda", prof.m), workers=2)
@@ -374,6 +381,7 @@ def test_parallel_names_the_exit_code_of_a_child_that_dies(monkeypatch):
         return solve(c, voter, rule)
 
     monkeypatch.setattr(engine, "expected_score", die_in_a_child)
+    _fork_at_once(monkeypatch)
     prof = _three_groups()
     with pytest.raises(MewError, match="code 3"):
         mew_parallel(prof, make_rule("plurality", prof.m), workers=2)
@@ -394,6 +402,7 @@ def test_parallel_splits_a_single_group_across_both_shares(monkeypatch, tmp_path
         return solve(c, voter, rule)
 
     monkeypatch.setattr(engine, "expected_score", logged)
+    _fork_at_once(monkeypatch)
     res = mew_parallel(prof, rule, workers=2)
     by_process = defaultdict(list)
     for line in log.read_text().splitlines():
@@ -415,6 +424,7 @@ def test_parallel_builds_a_split_groups_table_once_before_forking(monkeypatch, t
         return build(*args, **kwargs)
 
     monkeypatch.setattr(rep, "_ideal_table", logged)
+    _fork_at_once(monkeypatch)
     m = 7
     # one component, so one table build; cover width 6, so the Mallows voter's too
     wide = PartialOrder([(i, m - 1) for i in range(m - 1)])
@@ -426,6 +436,54 @@ def test_parallel_builds_a_split_groups_table_once_before_forking(monkeypatch, t
         rep.clear_caches()
         assert mew_parallel(prof, rule, workers=4).expected_scores == seq.expected_scores
         assert log.read_text().split() == [str(os.getpid())], voter
+
+
+def _single_group():
+    return Profile(candidate_set("a", "b", "c", "d", "e"),
+                   [Voter(MallowsModel((2, 0, 4, 1, 3), 0.4), PartialOrder([(1, 3)]))] * 3)
+
+
+def test_parallel_solves_a_small_profile_in_the_caller(monkeypatch):
+    engine = importlib.import_module("mewvote.engine")
+    calls, solve = [], engine.expected_score
+
+    def logged(c, voter, rule):
+        calls.append(c)  # a forked child appends to its own copy
+        return solve(c, voter, rule)
+
+    monkeypatch.setattr(engine, "expected_score", logged)
+    # each call solves in well under a second, but a busy machine can stall one
+    # past the default's few milliseconds
+    monkeypatch.setattr(engine, "FORK_AFTER_S", 1.0)
+    for prof in (_three_groups(), _single_group()):
+        rule = make_rule("borda", prof.m)
+        seq = mew(prof, rule, pruning=False)
+        for workers in (2, 4, 8):
+            calls.clear()
+            res = mew_parallel(prof, rule, workers=workers)
+            assert len(calls) == res.stats.groups * prof.m
+            assert res.winners == seq.winners and res.expected_scores == seq.expected_scores
+            assert res.bounds == {} and res.pruned == ()
+            assert multiprocessing.active_children() == []
+
+
+def test_parallel_is_bit_identical_for_every_fork_point(monkeypatch):
+    engine = importlib.import_module("mewvote.engine")
+    _fork_at_once(monkeypatch)  # so the fork is asked about before every unit
+    for prof in (_three_groups(), _single_group()):
+        rule = make_rule("borda", prof.m)
+        seq = mew(prof, rule, pruning=False)
+        for workers in (2, 4):
+            # fork before unit j: inside a group unless j is a multiple of m
+            for j in range(seq.stats.groups * prof.m):
+                asked = []
+                monkeypatch.setattr(engine, "_fork_pays",
+                                    lambda spent, solved, left: asked.append(solved) or solved == j)
+                res = mew_parallel(prof, rule, workers=workers)
+                assert asked == list(range(j + 1)), (workers, j)
+                assert res.winners == seq.winners, (workers, j)
+                assert res.expected_scores == seq.expected_scores, (workers, j)
+                assert res.bounds == {} and res.pruned == ()
 
 
 def test_parallel_winners_match_pruned_sequential():

@@ -379,7 +379,7 @@ COUNTS = {  # argument: (call, error class, expected message)
     "bench-repeat": (lambda v: run_bench([], repeat=v), ValidationError, _count_rule("repeat")),
     "spec-workers": (lambda v: parse_bench_spec(json.dumps([{"kind": "poset", "workers": v}])),
                      ParseError, _spec_workers),
-    "cover-width": (lambda v: cover_width_profile(6, 1, v, 0.5, 0), ValidationError,
+    "cover-width": (lambda v: cover_width_profile(6, 1, v, 0.5), ValidationError,
                     _count_rule("cover width")),
     "gen-seed": (lambda v: GenSpec(kind="poset", m=5, n=3, seed=v), ValidationError,
                  _count_rule("seed", low=0)),

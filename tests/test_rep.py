@@ -661,7 +661,7 @@ def test_cover_width_cap():
 def test_tracked_item_dp_bounds_its_states_per_step(monkeypatch):
     # the cover-width cap alone does not bound the work: width 6 at m=10 peaks
     # past 10,000 states in one step, under the default bound of 2^18
-    voter = cover_width_profile(m=10, n=1, width=6, phi=0.5, seed=0).voters[0]
+    voter = cover_width_profile(m=10, n=1, width=6, phi=0.5).voters[0]
     model, obs = voter.model, voter.observation
     assert np.allclose(rep_rim_poset(0, model, obs), rep._insertion_table(model, obs, 10)[0],
                        rtol=0, atol=1e-12)
