@@ -2,12 +2,16 @@
 
 One loop computes every result: identical voters are grouped into
 ``(voter, total weight)`` pairs, and each group in turn adds its weighted
-exact expected score to every candidate still alive.  With pruning on, the
-groups ``rep.closed_form`` names, whose score is one cached row read, go first.
+exact expected score to every candidate still alive; a group whose rows share
+one ``rep.shared_table`` reads it once for all its candidates.  With pruning
+on, the groups whose exact score costs no more than bounding it go first,
+unbounded: those ``rep.closed_form`` names, one cached row read each, and,
+while 2^m is within ``preferences.IDEAL_BUDGET`` (read at each call), uniform
+posets, whose one table serves every candidate and cannot exceed the budget.
 Each candidate's score then lies in an interval: its exact score so far plus
 the unsolved groups' worst and best, read from a table of those groups'
-weighted worst-rank and best-rank scores (a closed-form group adds 0).  Once
-the closed-form groups are all in, after each group a candidate whose interval
+weighted worst-rank and best-rank scores (a group solved first adds 0).  Once
+those first groups are all in, after each group a candidate whose interval
 ends below the best interval start is dropped, keeping the interval it was
 dropped at.  A zero-width interval is reported as a score.
 Grouping never changes the winner set, nor does pruning when every group
@@ -28,12 +32,13 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 from typing import Callable
 
 import numpy as np
 
+from . import preferences
 from .errors import InvalidRule, MewError
 from .preferences import check_count, rank_bounds
 from .profiles import Profile, Voter
@@ -86,18 +91,17 @@ def _grouped(profile: Profile, grouping: bool) -> list[tuple[Voter, int]]:
 
 
 def _pending(groups: list[tuple[Voter, int]], order: list[int], rule: ScoringRule,
-             pruning: bool) -> tuple[list[list[float]], list[list[float]]]:
+             first: int) -> tuple[list[list[float]], list[list[float]]]:
     """Rows ``hi[k]``, ``lo[k]`` for k = 0..len(order): the weighted scores at
     the best and the worst attainable rank, summed over the groups
-    ``order[k:]`` not solved yet.  The last row is 0, and so is every row
-    without pruning; a closed-form group adds 0, since it is solved before any
-    bound is used."""
+    ``order[k:]`` not solved yet.  The last row is 0; the groups
+    ``order[:first]`` add 0, since they are solved before any bound is used."""
     m = rule.m
     hi, lo = [[0.0] * m], [[0.0] * m]
-    for gi in reversed(order):
-        voter, weight = groups[gi]
+    for k in reversed(range(len(order))):
+        voter, weight = groups[order[k]]
         h, l = hi[-1], lo[-1]
-        if pruning and not closed_form(voter):
+        if k >= first:
             ranks = [rank_bounds(c, voter.observation, m) for c in range(m)]
             h = [h[c] + weight * rule.scores[b - 1] for c, (b, _) in enumerate(ranks)]
             l = [l[c] + weight * rule.scores[w - 1] for c, (_, w) in enumerate(ranks)]
@@ -108,17 +112,20 @@ def _pending(groups: list[tuple[Voter, int]], order: list[int], rule: ScoringRul
 
 def _solve(profile: Profile, rule: ScoringRule, groups: list[tuple[Voter, int]],
            group_scores: Callable[[int, list[int]], list[float]], pruning: bool,
-           t0: float, workers: int = 1) -> MewResult:
+           t0: float) -> MewResult:
     """The engine loop; ``group_scores(gi, cands)`` are the exact scores of
     candidates ``cands`` from one voter of group ``gi``."""
     m = profile.m
     alive = set(range(m))
     exact = [0.0] * m
-    order = list(range(len(groups)))
-    if pruning:  # closed-form groups first: their score costs no more than a bound
-        order.sort(key=lambda gi: not closed_form(groups[gi][0]))
-    first = sum(closed_form(v) for v, _ in groups) if pruning else 0
-    hi, lo = _pending(groups, order, rule, pruning)
+    order, first = list(range(len(groups))), len(groups)
+    if pruning:  # groups whose score costs no more than a bound go first, with none:
+        # closed-form ones, and uniform posets while one table serves all their candidates
+        # and cannot raise (a component of k items has at most 2^k <= 2^m ideals)
+        cheap = (lambda v: v.model is None) if 2 ** m <= preferences.IDEAL_BUDGET else closed_form
+        order.sort(key=lambda gi: not cheap(groups[gi][0]))
+        first = sum(cheap(v) for v, _ in groups)
+    hi, lo = _pending(groups, order, rule, first)
     solved = {}  # a pruned candidate -> the groups solved when it was pruned
     k = 0
     while True:
@@ -155,7 +162,7 @@ def _solve(profile: Profile, rule: ScoringRule, groups: list[tuple[Voter, int]],
     winners = tuple(ids[c] for c in sorted(alive) if exact[c] + hi[k][c] >= top - tol)
     pruned = tuple(ids[c] for c in range(m) if c not in alive)
     stats = MewStats(voters=profile.n, groups=len(groups), prunings=len(pruned),
-                     seconds=time.perf_counter() - t0, workers=workers)
+                     seconds=time.perf_counter() - t0)
     return MewResult(winners, {ids[c]: s for c, s in scores.items()}, bounds, pruned, stats)
 
 
@@ -166,9 +173,15 @@ def mew(profile: Profile, rule: ScoringRule, *,
     t0 = time.perf_counter()
     check_rule_size(rule, profile.m)
     groups = _grouped(profile, grouping)
-    return _solve(profile, rule, groups,
-                  lambda gi, cands: [expected_score(c, groups[gi][0], rule) for c in cands],
-                  pruning, t0)
+
+    def group_scores(gi: int, cands: list[int]) -> list[float]:
+        voter = groups[gi][0]
+        table = shared_table(voter, rule.m)  # one read a group; expected_score's arithmetic
+        if table is None:
+            return [expected_score(c, voter, rule) for c in cands]
+        return [float(np.dot(table[c], rule.score_array)) for c in cands]
+
+    return _solve(profile, rule, groups, group_scores, pruning, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +236,9 @@ def _fork_pays(spent: float, solved: int, left: int) -> bool:
 
 
 def _forked_scores(groups: list[tuple[Voter, int]], rule: ScoringRule, workers: int,
-                   rest: list[tuple[int, list[int]]]) -> dict[tuple[int, int], float]:
-    """The scores of the (group, candidates) pairs ``rest``, by (group, candidate).
+                   rest: list[tuple[int, list[int]]]) -> tuple[dict[tuple[int, int], float], int]:
+    """The scores of the (group, candidates) pairs ``rest``, by (group, candidate),
+    and the number of shares, each solved by its own process.
 
     Each group's candidates are cut into ``ceil(workers / len(rest))`` slices, and
     the (group, slice) units are dealt round-robin into at most ``workers``
@@ -242,7 +256,8 @@ def _forked_scores(groups: list[tuple[Voter, int]], rule: ScoringRule, workers: 
               for i in range(min(workers, len(units)))]
     parts = _run_shares(lambda share: [expected_score(c, groups[gi][0], rule)
                                        for gi, c in share], shares)
-    return {pair: s for share, part in zip(shares, parts) for pair, s in zip(share, part)}
+    return ({pair: s for share, part in zip(shares, parts) for pair, s in zip(share, part)},
+            len(shares))
 
 
 def mew_parallel(profile: Profile, rule: ScoringRule, workers: int = 1) -> MewResult:
@@ -257,17 +272,20 @@ def mew_parallel(profile: Profile, rule: ScoringRule, workers: int = 1) -> MewRe
     ``engine.FORK_AFTER_S = 0`` to deal the whole profile at once.  Every score
     is the same ``expected_score`` call, added in group order, so the result is
     bit-identical for any worker count and fork point and equals
-    ``mew(pruning=False)``.
+    ``mew(pruning=False)``.  ``stats.workers`` counts the processes that solved:
+    1 with no fork, else the shares dealt.
     """
     t0 = time.perf_counter()
     check_rule_size(rule, profile.m)
     workers = check_count("workers", workers, error=InvalidRule)
     groups = _grouped(profile, grouping=True)
-    forked: dict[tuple[int, int], float] = {}  # filled once, by the one fork
+    forked: dict[tuple[int, int], float] = {}  # set once, by the one fork
+    used = 1  # the processes that solved
     start = time.perf_counter()
     due = start + FORK_AFTER_S if workers > 1 else float("inf")
 
     def group_scores(gi: int, cands: list[int]) -> list[float]:
+        nonlocal forked, used
         if forked:
             return [forked[gi, c] for c in cands]
         voter, m, scores = groups[gi][0], len(cands), []  # pruning off: m candidates a group
@@ -275,9 +293,10 @@ def mew_parallel(profile: Profile, rule: ScoringRule, workers: int = 1) -> MewRe
             now = time.perf_counter()
             if now >= due and _fork_pays(now - start, gi * m + j, (len(groups) - gi) * m - j):
                 rest = [(gi, cands[j:])] + [(g, cands) for g in range(gi + 1, len(groups))]
-                forked.update(_forked_scores(groups, rule, workers, rest))
+                forked, used = _forked_scores(groups, rule, workers, rest)
                 return scores + [forked[gi, c] for c in cands[j:]]
             scores.append(expected_score(c, voter, rule))
         return scores
 
-    return _solve(profile, rule, groups, group_scores, pruning=False, t0=t0, workers=workers)
+    res = _solve(profile, rule, groups, group_scores, pruning=False, t0=t0)
+    return replace(res, stats=replace(res.stats, workers=used))

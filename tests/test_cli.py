@@ -74,6 +74,21 @@ def test_parallel_flag(capsys, data_dir):
     assert "winners: b" in out
 
 
+def test_parallel_stats_count_the_processes_that_solved(capsys, monkeypatch, data_dir):
+    from mewvote import engine
+
+    def workers(count):
+        code, out, _ = run_cli(capsys, "mew", "--profile", str(data_dir / "fig1.profile"),
+                               "--rule", "plurality", "--parallel", count, "--output", "json")
+        assert code == 0
+        return json.loads(out)["stats"]["workers"]
+
+    assert workers("4") == 1  # too small to fork: solved in the calling process alone
+    monkeypatch.setattr(engine, "FORK_AFTER_S", 0)
+    # dealt at once: 2 groups of 3 candidates give at most 6 shares, one process each
+    assert (workers("4"), workers("8")) == (4, 6)
+
+
 def test_negative_parallel_count_is_an_input_error(capsys, data_dir):
     code, out, err = run_cli(capsys, "mew", "--profile", str(data_dir / "fig1.profile"),
                              "--rule", "plurality", "--parallel", "-3")

@@ -311,10 +311,13 @@ def test_closed_form_groups_are_solved_exactly_with_no_bound(monkeypatch):
     mixed = Profile(uniform.candidates,
                     [v for p in bounded for v in p.voters] + list(uniform.voters))
     # a poset voter may have drawn no pair, which makes it a closed-form voter
-    uniform_voters = [v for v in mixed.voters
-                      if v.model is None and not isinstance(v.observation, PartialOrder)]
-    keys = {(bucket_window(c, v.observation, m), m) for v in uniform_voters for c in range(m)}
-    bounded_groups = {v.group_key() for v in mixed.voters if v not in uniform_voters}
+    closed_voters = [v for v in mixed.voters
+                     if v.model is None and not isinstance(v.observation, PartialOrder)]
+    keys = {(bucket_window(c, v.observation, m), m) for v in closed_voters for c in range(m)}
+    # at m = 8 a uniform poset's table fits the ideal budget, so it is solved
+    # before any bound too: only the model voters' groups are bounded
+    bounded_groups = {v.group_key() for v in mixed.voters if v.model is not None}
+    assert any(isinstance(v.observation, PartialOrder) for v in mixed.voters)
     rep.clear_caches()
     res = mew(mixed, rule)
     assert len(calls) == len(bounded_groups) * m
@@ -326,6 +329,75 @@ def test_closed_form_groups_are_solved_exactly_with_no_bound(monkeypatch):
     assert res.winners == ref.winners
     for name, score in res.expected_scores.items():
         assert score == pytest.approx(ref.expected_scores[name], abs=1e-9)
+
+
+def test_uniform_posets_are_solved_before_any_bound_while_their_table_fits(monkeypatch):
+    from mewvote import TruncatedRanking, engine, preferences, rep
+
+    calls = []
+    real_rank_bounds = engine.rank_bounds
+    monkeypatch.setattr(engine, "rank_bounds",
+                        lambda *args: calls.append(args) or real_rank_bounds(*args))
+    m = 8  # every component here has at most 4 ideals, within either budget below
+    posets = [PartialOrder([(0, 1), (1, 2)]), PartialOrder([(3, 4)]),
+              PartialOrder([(5, 6), (6, 7)]), PartialOrder([(7, 0), (2, 5)])]
+    mallows = [Voter(MallowsModel(tuple(range(m)), 0.5), TruncatedRanking((c,), ()))
+               for c in (1, 4)]
+    prof = Profile(candidate_set(*(f"c{i}" for i in range(1, m + 1))),
+                   [Voter(None, p, weight=w) for w, p in enumerate(posets, start=2)]
+                   + mallows + [Voter(None, PartialChain((6, 3)))])
+    rule = make_rule("plurality", m)
+    rep.clear_caches()
+    res = mew(prof, rule)
+    assert calls and not any(isinstance(s, PartialOrder) for _, s, _ in calls)
+    with monkeypatch.context() as patched:  # read at each call: 2^8 is past it
+        patched.setattr(preferences, "IDEAL_BUDGET", 1 << 7)
+        calls.clear()
+        rep.clear_caches()
+        small = mew(prof, rule)
+        assert {s for _, s, _ in calls if isinstance(s, PartialOrder)} == set(posets)
+    rep.clear_caches()
+    assert small.winners == res.winners == mew(prof, rule, pruning=False).winners
+
+
+def test_a_uniform_poset_past_the_budget_keeps_its_bound():
+    from mewvote import TooLarge, rep
+
+    m = 19  # c1 above the 18 others: 2^18 + 1 ideals, past the default budget
+    star = Profile(candidate_set(*(f"c{i}" for i in range(1, m + 1))),
+                   [Voter(None, PartialOrder([(0, i) for i in range(1, m)]))])
+    rule = make_rule("plurality", m)
+    rep.clear_caches()
+    assert mew(star, rule).winners == ("c1",)
+    assert rep._uniform_poset_table.cache_info().misses == 0
+    with pytest.raises(TooLarge):
+        mew(star, rule, pruning=False)
+
+
+def test_each_route_scores_as_expected_score_sums_and_as_the_parallel_mode(monkeypatch):
+    from mewvote import TruncatedRanking, rep
+
+    m, sigma = 6, tuple(range(6))
+    uniform_poset = Voter(None, PartialOrder([(0, 1), (2, 4)]))
+    insertion_table = Voter(MallowsModel(sigma, 0.5), PartialOrder([(0, 1), (2, 3)]))
+    closed = Voter(None, TruncatedRanking((5,), (0,)))
+    tracked_dp = Voter(MallowsModel(sigma, 0.7), PartialOrder([(0, 1)]))
+    voters = [uniform_poset, insertion_table, closed, tracked_dp]
+    assert [rep.closed_form(v) for v in voters] == [False, False, True, False]
+    assert [rep.shared_table(v, m) is not None for v in voters] == [True, True, False, False]
+    prof = Profile(candidate_set(*"abcdef"), voters)
+    _fork_at_once(monkeypatch)
+    for rule_name in ("plurality", "borda"):
+        rule = make_rule(rule_name, m)
+        res = mew(prof, rule, pruning=False)
+        # one group per voter, added in profile order
+        assert res.expected_scores == {
+            name: sum(v.weight * expected_score(c, v, rule) for v in voters)
+            for c, name in enumerate(prof.candidates.ids)}, rule_name
+        for workers in (2, 4):
+            par = mew_parallel(prof, rule, workers=workers)
+            assert par.expected_scores == res.expected_scores, (rule_name, workers)
+            assert par.winners == res.winners
 
 
 def _fork_at_once(monkeypatch):
@@ -500,7 +572,7 @@ def test_solvers_are_called_through_the_module_level_names(monkeypatch):
     import importlib
     from collections import Counter
 
-    from mewvote import PartitionedPreference, mpw
+    from mewvote import PartitionedPreference, TruncatedRanking, mpw
 
     counts: Counter = Counter()
 
@@ -518,12 +590,13 @@ def test_solvers_are_called_through_the_module_level_names(monkeypatch):
     count_calls("mewvote.engine", "rank_bounds")
     count_calls("mewvote.mpw", "rep_dispatch")
     count_calls("mewvote.mpw", "voter_support")
-    # the uniform poset voter is the one whose bounds are seeded: closed-form
-    # voters are solved exactly before pruning starts, with no bound
+    # the Mallows voter is the one whose bounds are seeded: uniform voters, the
+    # poset one included at this m, are solved exactly before pruning starts
     prof = Profile(candidate_set("a", "b", "c", "d"),
                    [Voter(None, PartialChain((0, 1))),
                     Voter(None, PartitionedPreference([[2], [3]], [0])), Voter(),
-                    Voter(None, PartialOrder([(2, 3)]))])
+                    Voter(None, PartialOrder([(2, 3)])),
+                    Voter(MallowsModel((3, 2, 1, 0), 0.5), TruncatedRanking((3,), (0,)))])
     for rule_name, mpw_route in (("plurality", "mewvote.mpw.rep_dispatch"),
                                  ("borda", "mewvote.mpw.voter_support")):
         counts.clear()
