@@ -2,12 +2,9 @@
 
 One loop computes every result: identical voters are grouped into
 ``(voter, total weight)`` pairs, and each group in turn adds its weighted
-exact expected score to every candidate still alive; a group whose rows share
-one ``rep.shared_table`` reads it once for all its candidates.  With pruning
-on, the groups whose exact score costs no more than bounding it go first,
-unbounded: those ``rep.closed_form`` names, one cached row read each, and,
-while 2^m is within ``preferences.IDEAL_BUDGET`` (read at each call), uniform
-posets, whose one table serves every candidate and cannot exceed the budget.
+exact expected score to every candidate still alive, in one ``rep_dispatch``
+call.  With pruning on, ``rep.closed_form`` groups go first, and uniform posets
+too while 2^m is within ``SOLVE_FIRST_IDEALS`` and ``preferences.IDEAL_BUDGET``.
 Each candidate's score then lies in an interval: its exact score so far plus
 the unsolved groups' worst and best, read from a table of those groups'
 weighted worst-rank and best-rank scores (a group solved first adds 0).  Once
@@ -52,6 +49,10 @@ WINNER_REL_TOL = 1e-9
 # idle.  A call that forks with that much work left, or waits that long before
 # forking, then loses at most about 2 ms to the better choice.
 FORK_AFTER_S = 0.004
+# pruning solves uniform posets before any bound while 2^m is within this, read at each
+# call: a stop that skips one saves its table, for a star 2 ms against 0.05 ms to bound
+# at m = 10, the largest the benchmark runs, but 0.56 s at m = 18 (2-core box)
+SOLVE_FIRST_IDEALS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,12 @@ class MewResult:
 
 def expected_score(c: int, voter: Voter, rule: ScoringRule) -> float:
     """Expected score of candidate ``c`` from a single voter (weight excluded)."""
-    dist = rep_dispatch(c, voter, rule.m)
-    return float(np.dot(dist, rule.score_array))
+    return float(np.dot(rep_dispatch(c, voter, rule.m), rule.score_array))
+
+
+def _scores(voter: Voter, cands: list[int], rule: ScoringRule) -> list[float]:
+    """``expected_score`` of each of ``cands``, on the rows of one ``rep_dispatch`` call."""
+    return [float(np.dot(row, rule.score_array)) for row in rep_dispatch(cands, voter, rule.m)]
 
 
 def _grouped(profile: Profile, grouping: bool) -> list[tuple[Voter, int]]:
@@ -119,10 +124,10 @@ def _solve(profile: Profile, rule: ScoringRule, groups: list[tuple[Voter, int]],
     alive = set(range(m))
     exact = [0.0] * m
     order, first = list(range(len(groups))), len(groups)
-    if pruning:  # groups whose score costs no more than a bound go first, with none:
-        # closed-form ones, and uniform posets while one table serves all their candidates
-        # and cannot raise (a component of k items has at most 2^k <= 2^m ideals)
-        cheap = (lambda v: v.model is None) if 2 ** m <= preferences.IDEAL_BUDGET else closed_form
+    if pruning:  # cheap groups first, with no bound: closed-form ones, and small uniform
+        # posets, whose table cannot raise (a component of k items has at most 2^k ideals)
+        small = 2 ** m <= min(SOLVE_FIRST_IDEALS, preferences.IDEAL_BUDGET)
+        cheap = (lambda v: v.model is None) if small else closed_form
         order.sort(key=lambda gi: not cheap(groups[gi][0]))
         first = sum(cheap(v) for v, _ in groups)
     hi, lo = _pending(groups, order, rule, first)
@@ -173,15 +178,8 @@ def mew(profile: Profile, rule: ScoringRule, *,
     t0 = time.perf_counter()
     check_rule_size(rule, profile.m)
     groups = _grouped(profile, grouping)
-
-    def group_scores(gi: int, cands: list[int]) -> list[float]:
-        voter = groups[gi][0]
-        table = shared_table(voter, rule.m)  # one read a group; expected_score's arithmetic
-        if table is None:
-            return [expected_score(c, voter, rule) for c in cands]
-        return [float(np.dot(table[c], rule.score_array)) for c in cands]
-
-    return _solve(profile, rule, groups, group_scores, pruning, t0)
+    return _solve(profile, rule, groups, lambda gi, cands: _scores(groups[gi][0], cands, rule),
+                  pruning, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +268,10 @@ def mew_parallel(profile: Profile, rule: ScoringRule, workers: int = 1) -> MewRe
     the later groups are dealt across ``workers`` processes
     (``_forked_scores``), and the loop goes on from their scores.  Set
     ``engine.FORK_AFTER_S = 0`` to deal the whole profile at once.  Every score
-    is the same ``expected_score`` call, added in group order, so the result is
-    bit-identical for any worker count and fork point and equals
-    ``mew(pruning=False)``.  ``stats.workers`` counts the processes that solved:
-    1 with no fork, else the shares dealt.
+    is an ``expected_score`` call, whose arithmetic and row ``mew``'s ``_scores``
+    share, added in group order, so the result is bit-identical for any worker
+    count and fork point and equals ``mew(pruning=False)``.  ``stats.workers`` counts the processes
+    that solved: 1 with no fork, else the shares dealt.
     """
     t0 = time.perf_counter()
     check_rule_size(rule, profile.m)

@@ -547,9 +547,17 @@ def shared_table(voter: Voter, m: int) -> np.ndarray | None:
     return _insertion_table(model, obs, m)
 
 
-def rep_dispatch(c: int, voter: Voter, m: int) -> RankDistribution:
+def rep_dispatch(c: int | list[int], voter: Voter, m: int) -> RankDistribution | list:
     """Route one (candidate, voter) query: the closed form, a row of the shared
-    table, or a DP for this candidate alone (see the module docstring)."""
+    table, or a DP for this candidate alone (see the module docstring).  Given a
+    list of candidates, a list of their rows, a shared table read once for all."""
+    if isinstance(c, list):
+        table = shared_table(voter, m)
+        if table is None:
+            return [rep_dispatch(x, voter, m) for x in c]
+        for x in c:
+            check_candidate(x, m)
+        return list(table[c])
     model, obs = voter.model, voter.observation
     if closed_form(voter):
         return rep_uniform(c, obs, m)  # checks c

@@ -374,6 +374,33 @@ def test_a_uniform_poset_past_the_budget_keeps_its_bound():
         mew(star, rule, pruning=False)
 
 
+def test_a_uniform_poset_past_the_solve_first_size_keeps_its_bound(monkeypatch):
+    from mewvote import engine, rep
+
+    calls = []
+    real_rank_bounds = engine.rank_bounds
+    monkeypatch.setattr(engine, "rank_bounds",
+                        lambda *args: calls.append(args) or real_rank_bounds(*args))
+    for m in (11, 18):  # c1 above the others: 2^(m-1) + 1 ideals, one component
+        star = PartialOrder([(0, i) for i in range(1, m)])
+        prof = Profile(candidate_set(*(f"c{i}" for i in range(1, m + 1))), [Voter(None, star)])
+        rule = make_rule("plurality", m)
+        calls.clear()
+        rep.clear_caches()
+        assert mew(prof, rule).winners == ("c1",)
+        assert rep._uniform_poset_table.cache_info().misses == 0, m
+        assert {s for _, s, _ in calls} == {star}, m
+    # read at each call: at m = 11 the star is solved first once 2^11 is within it
+    monkeypatch.setattr(engine, "SOLVE_FIRST_IDEALS", 1 << 11)
+    prof = Profile(candidate_set(*(f"c{i}" for i in range(1, 12))),
+                   [Voter(None, PartialOrder([(0, i) for i in range(1, 11)]))])
+    calls.clear()
+    rep.clear_caches()
+    assert mew(prof, make_rule("plurality", 11)).winners == ("c1",)
+    assert rep._uniform_poset_table.cache_info().misses == 1
+    assert calls == []
+
+
 def test_each_route_scores_as_expected_score_sums_and_as_the_parallel_mode(monkeypatch):
     from mewvote import TruncatedRanking, rep
 
@@ -575,6 +602,7 @@ def test_solvers_are_called_through_the_module_level_names(monkeypatch):
     from mewvote import PartitionedPreference, TruncatedRanking, mpw
 
     counts: Counter = Counter()
+    solved = []  # the voters whose rows went through ``engine.rep_dispatch``
 
     def count_calls(module_name, name):
         module = importlib.import_module(module_name)  # ``mewvote.mpw`` is also a function
@@ -582,6 +610,8 @@ def test_solvers_are_called_through_the_module_level_names(monkeypatch):
 
         def counting(*args, **kwargs):
             counts[f"{module_name}.{name}"] += 1
+            if f"{module_name}.{name}" == "mewvote.engine.rep_dispatch":
+                solved.append(args[1])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
@@ -600,9 +630,12 @@ def test_solvers_are_called_through_the_module_level_names(monkeypatch):
     for rule_name, mpw_route in (("plurality", "mewvote.mpw.rep_dispatch"),
                                  ("borda", "mewvote.mpw.voter_support")):
         counts.clear()
+        solved.clear()
         rule = make_rule(rule_name, prof.m)
         mew(prof, rule)
         mpw(prof, rule)
         assert counts["mewvote.engine.rep_dispatch"] > 0, rule_name
+        # the uniform voters, solved before any bound, the poset one's table read included
+        assert set(prof.voters[:4]) <= set(solved), rule_name
         assert counts["mewvote.engine.rank_bounds"] > 0, rule_name
         assert counts[mpw_route] > 0, rule_name

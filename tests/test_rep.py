@@ -460,6 +460,9 @@ def test_dispatch_rejects_out_of_range_candidates():
 _MALLOWS4 = MallowsModel((2, 0, 3, 1), 0.5)
 _CANDIDATE_SOLVERS = {  # every public per-candidate solver, on a voter over candidates 0..3
     "rep_dispatch": lambda c: rep_dispatch(c, Voter(_MALLOWS4, PartialOrder([(0, 1)])), 4),
+    "rep_dispatch-rows-table":
+        lambda c: rep_dispatch([0, c], Voter(None, PartialOrder([(0, 1)])), 4),
+    "rep_dispatch-rows": lambda c: rep_dispatch([c, 0], Voter(None, PartialChain((0, 1))), 4),
     "expected_score": lambda c: expected_score(c, Voter(), make_rule("borda", 4)),
     "rep_uniform": lambda c: rep_uniform(c, PartialChain((0, 1)), 4),
     "uniform_poset_distribution":
@@ -484,6 +487,19 @@ def test_every_solver_rejects_a_candidate_it_does_not_hold(solver):
             solve(c)
     for c in range(4):
         solve(c)
+
+
+def test_dispatch_lists_the_rows_of_a_candidate_list():
+    # one voter per route: closed form, uniform-poset table, insertion table,
+    # Mallows bucket row, selection DP
+    for voter in (Voter(None, PartialChain((0, 1))), Voter(None, PartialOrder([(0, 1), (2, 1)])),
+                  Voter(_MALLOWS4, PartialOrder([(0, 1)])), Voter(_MALLOWS4),
+                  Voter(mallows_to_rsm(_MALLOWS4))):
+        for cands in ([2], [3, 0, 2], [1, 1]):
+            rows = rep_dispatch(cands, voter, 4)
+            assert len(rows) == len(cands), voter
+            for row, c in zip(rows, cands):
+                assert np.array_equal(row, rep_dispatch(c, voter, 4)), voter
 
 
 _LEAVES_ONE_OUT = PartitionedPreference([[2], [0]], missing=[1, 3])  # places 2 of 4
