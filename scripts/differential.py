@@ -13,7 +13,9 @@ Each case holds, for ``mew`` under all four pruning/grouping settings and for
 bounds as ``float.hex`` strings, the pruned candidates, and the class name of
 any error raised in their place.  Each plurality case also holds ``rows``:
 every voter's ``rep_dispatch`` row of every candidate, in profile order, as
-``float.hex`` strings, or the class name of the error the voter raises.
+``float.hex`` strings, or the class name of the error the voter raises, and
+the same rows from one list call per voter, ``rep_dispatch(list(range(m)),
+voter, m)``, the call ``mew`` makes for a group.
 Each m = 5, n = 6 case under plurality, veto and 2-approval, and each
 hand-built case with m <= 4, also holds ``mpw``: the winners, ``win_probs``
 as ``float.hex`` strings and ``worlds_explored``, or the error class.  So
@@ -23,8 +25,8 @@ over those cases, and so is n = 40, whose plurality cases took two minutes.
 
 ``--compare`` prints, for each run setting and field, whether the two records
 are bit-identical there and otherwise the largest difference, plus each
-record's count of bounds intervals with lo >= hi; the same verdict on the
-``rows`` follows on stderr.  It exits 1 if any winner set, pruned set,
+record's count of bounds intervals with lo >= hi; the same verdict on each of
+the two row records follows on stderr.  It exits 1 if any winner set, pruned set,
 ``worlds_explored`` or error class (of a run or of a voter's rows) differs,
 or if the two matrices differ.  Run it with ``PYTHONPATH`` at the ``src`` of
 the checkout to record.
@@ -97,9 +99,12 @@ ERROR_CASES = {
 }
 
 
-def voter_rows(voter: mv.Voter, m: int) -> list | str:
+def voter_rows(voter: mv.Voter, m: int, listed: bool) -> list | str:
+    """The voter's rows from one call per candidate, or from one list call."""
     try:
-        return [[float.hex(p) for p in rep_dispatch(c, voter, m)] for c in range(m)]
+        rows = rep_dispatch(list(range(m)), voter, m) if listed else \
+            [rep_dispatch(c, voter, m) for c in range(m)]
+        return [[float.hex(p) for p in row] for row in rows]
     except Exception as exc:
         return type(exc).__name__
 
@@ -113,7 +118,8 @@ def run_case(make_profile: Callable[[], mv.Profile], rule_spec: str, with_mpw: b
         return {name: {"error": type(exc).__name__} for name in names}
     runs = {}
     if rule_spec == "plurality":  # the rows do not depend on the rule
-        runs["rows"] = {"voters": [voter_rows(v, profile.m) for v in profile.voters]}
+        runs["rows"] = {field: [voter_rows(v, profile.m, listed) for v in profile.voters]
+                        for field, listed in (("voters", False), ("lists", True))}
     for name in names:
         try:
             runs[name] = record(RUNS[name](profile, rule))
@@ -171,24 +177,37 @@ def compare(a: dict, b: dict) -> int:
     return int(compare_rows(a, b) or failed)
 
 
+# each row record under a case's ``rows``, and its name in the verdict
+ROW_RECORDS = {"voters": "rep_dispatch rows", "lists": "rep_dispatch list rows"}
+
+
 def compare_rows(a: dict, b: dict) -> bool:
-    """Print the verdict on the recorded ``rep_dispatch`` rows to stderr; whether
-    a voter's error class differs."""
-    largest, errors = 0.0, 0
-    for key, case in a.items():
-        for x, y in zip(case.get("rows", {}).get("voters", ()),
-                        b[key].get("rows", {}).get("voters", ())):
-            if isinstance(x, str) or isinstance(y, str):
-                errors += x != y
-            else:
-                largest = max([largest] + [abs(float.fromhex(p) - float.fromhex(q))
-                                           for rx, ry in zip(x, y) for p, q in zip(rx, ry)])
-    same = all(case.get("rows") == b[key].get("rows") for key, case in a.items())
-    verdict = "bit-identical" if same else f"largest difference {largest:.3g}"
-    if errors:
-        verdict += f"; the error class differs for {errors} voters"
-    print(f"{'rep_dispatch rows':34} {verdict}", file=sys.stderr)
-    return bool(errors)
+    """Print the verdict on each recorded row record to stderr; whether a
+    voter's error class differs in either."""
+    failed = False
+    for field, label in ROW_RECORDS.items():
+        missing = [side for side, doc in (("A", a), ("B", b))
+                   if not any(field in case.get("rows", {}) for case in doc.values())]
+        if missing:  # a record made before the field existed
+            print(f"{label:34} not recorded in {' and '.join(missing)}", file=sys.stderr)
+            continue
+        pairs = [(case.get("rows", {}).get(field, ()), b[key].get("rows", {}).get(field, ()))
+                 for key, case in a.items()]
+        largest, errors = 0.0, 0
+        for xs, ys in pairs:
+            for x, y in zip(xs, ys):
+                if isinstance(x, str) or isinstance(y, str):
+                    errors += x != y
+                else:
+                    largest = max([largest] + [abs(float.fromhex(p) - float.fromhex(q))
+                                               for rx, ry in zip(x, y) for p, q in zip(rx, ry)])
+        verdict = "bit-identical" if all(x == y for x, y in pairs) \
+            else f"largest difference {largest:.3g}"
+        if errors:
+            verdict += f"; the error class differs for {errors} voters"
+        print(f"{label:34} {verdict}", file=sys.stderr)
+        failed = failed or bool(errors)
+    return failed
 
 
 def main() -> None:

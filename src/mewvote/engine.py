@@ -3,8 +3,10 @@
 One loop computes every result: identical voters are grouped into
 ``(voter, total weight)`` pairs, and each group in turn adds its weighted
 exact expected score to every candidate still alive, in one ``rep_dispatch``
-call.  With pruning on, ``rep.closed_form`` groups go first, and uniform posets
-too while 2^m is within ``SOLVE_FIRST_IDEALS`` and ``preferences.IDEAL_BUDGET``.
+call, which reads the group's route once for all of them (a closed-form
+group's rows are shared, and each distinct one is scored once).  With pruning
+on, ``rep.closed_form`` groups go first, and uniform posets too while 2^m is
+within ``SOLVE_FIRST_IDEALS`` and ``preferences.IDEAL_BUDGET``.
 Each candidate's score then lies in an interval: its exact score so far plus
 the unsolved groups' worst and best, read from a table of those groups'
 weighted worst-rank and best-rank scores (a group solved first adds 0).  Once
@@ -79,8 +81,17 @@ def expected_score(c: int, voter: Voter, rule: ScoringRule) -> float:
 
 
 def _scores(voter: Voter, cands: list[int], rule: ScoringRule) -> list[float]:
-    """``expected_score`` of each of ``cands``, on the rows of one ``rep_dispatch`` call."""
-    return [float(np.dot(row, rule.score_array)) for row in rep_dispatch(cands, voter, rule.m)]
+    """``expected_score`` of each of ``cands``, on the rows of one ``rep_dispatch`` call.
+    A closed-form voter's rows are shared objects, one per bucket window plus one
+    for the candidates it does not place, so each distinct row is scored once."""
+    rows = rep_dispatch(cands, voter, rule.m)
+    if not closed_form(voter):  # other routes' rows are distinct: no lookup to pay
+        return [float(np.dot(row, rule.score_array)) for row in rows]
+    score: dict[int, float] = {}  # id(row) -> its score; ``rows`` keeps each row alive
+    for row in rows:
+        if id(row) not in score:
+            score[id(row)] = float(np.dot(row, rule.score_array))
+    return [score[id(row)] for row in rows]
 
 
 def _grouped(profile: Profile, grouping: bool) -> list[tuple[Voter, int]]:

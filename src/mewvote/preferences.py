@@ -104,20 +104,27 @@ class PartialOrder:
         return frozenset(closed)
 
 
+def _sorted_set(items) -> tuple[int, ...]:
+    return tuple(sorted(set(map(candidate_index, items))))
+
+
 @dataclass(frozen=True)
 class PartitionedPreference:
     """Ordered buckets of candidates; items in ``missing`` carry no information.
 
     With ``missing`` empty and the buckets covering all of C this is a fully
-    partitioned preference; otherwise it is partially partitioned.
+    partitioned preference; otherwise it is partially partitioned.  Each bucket
+    and ``missing`` are held as sorted tuples without repeats, so equality and
+    hashing ignore the order items are given in, as a set's would, at a
+    fraction of a frozenset's size.
     """
 
-    buckets: tuple[frozenset[int], ...]
-    missing: frozenset[int] = frozenset()
+    buckets: tuple[tuple[int, ...], ...]
+    missing: tuple[int, ...] = ()
 
     def __init__(self, buckets, missing=()):
-        object.__setattr__(self, "buckets", tuple(frozenset(b) for b in buckets))
-        object.__setattr__(self, "missing", frozenset(missing))
+        object.__setattr__(self, "buckets", tuple(map(_sorted_set, buckets)))
+        object.__setattr__(self, "missing", _sorted_set(missing))
 
     def is_fully_partitioned(self, m: int) -> bool:
         return not self.missing and sum(len(b) for b in self.buckets) == m

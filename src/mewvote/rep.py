@@ -34,6 +34,13 @@ model plus optional observation) through three branches, in this order:
      with more distinct rows than that gets little or no reuse on a warm
      pass, which comes back to each row only after all the others.
 
+Given a list of candidates, ``rep_dispatch`` returns their rows, equal to one
+call's per candidate, and reads each route but the DPs once for the list: the
+closed form's bucket layout (``uniform_rows``, which hands back the shared
+read-only rows themselves), the shared table, or one pass over a Mallows
+model's reference ranking (``mallows_partitioned_rows``).  Only the DP routes
+solve candidate by candidate inside a list call.
+
 A candidate index that is not an integer in 0..m-1 raises UnknownCandidate in
 ``rep_dispatch`` (in ``rep_uniform`` on the closed form), and one the model
 does not hold raises it in each model solver.  Conditioning on evidence with
@@ -134,6 +141,19 @@ def rep_uniform(c: int, obs: Observation | None, m: int) -> RankDistribution:
     the bucket's rank window.
     """
     return _uniform_row(bucket_window(c, obs, m), m).copy()
+
+
+def uniform_rows(cands: list[int], obs: Observation | None, m: int) -> list[np.ndarray]:
+    """``rep_uniform``'s rows of ``cands`` from one read of the bucket layout.
+    They are the cached read-only ``_uniform_row`` arrays, not copies, so the
+    candidates of one bucket, and every one ``obs`` does not place, share one
+    row object."""
+    for c in cands:
+        check_candidate(c, m)
+    if obs is None:
+        return [_uniform_row(None, m)] * len(cands)
+    layout = bucket_layout(obs, m)
+    return [_uniform_row(layout[c], m) for c in cands]
 
 
 def closed_form(voter: Voter) -> bool:
@@ -378,6 +398,29 @@ def rep_mallows_partitioned(c: int, model: MallowsModel, fp: Observation | None,
     return probs
 
 
+def mallows_partitioned_rows(cands: list[int], model: MallowsModel, fp: Observation | None,
+                             m: int | None = None) -> list[RankDistribution]:
+    """``rep_mallows_partitioned``'s rows of ``cands``, from one pass over sigma
+    that gives every candidate its bucket window and its index in the bucket."""
+    sigma = model.sigma
+    m = len(sigma) if m is None else m
+    for c in cands:
+        check_candidate(c, m)
+    layout = ((m, 0, m),) * m if fp is None else bucket_layout(fp, m)  # None: one bucket
+    if None in layout:
+        raise ValidationError("preference is not fully partitioned")
+    index = [0] * m  # index[x]: x's place among its bucket's items in sigma order
+    met: dict[tuple[int, int, int], int] = {}  # window -> its items met so far
+    for x in sigma:
+        index[x] = met.get(layout[x], 0)
+        met[layout[x]] = index[x] + 1
+    rows = np.zeros((len(cands), m))
+    for row, c in zip(rows, cands):
+        _, before, size = layout[c]
+        row[before:before + size] = _mallows_rank_row(model.phi, size, index[c])
+    return list(rows)
+
+
 # ---------------------------------------------------------------------------
 # One pass over the order ideals: every candidate's rank row at once
 
@@ -549,16 +592,23 @@ def shared_table(voter: Voter, m: int) -> np.ndarray | None:
 
 def rep_dispatch(c: int | list[int], voter: Voter, m: int) -> RankDistribution | list:
     """Route one (candidate, voter) query: the closed form, a row of the shared
-    table, or a DP for this candidate alone (see the module docstring).  Given a
-    list of candidates, a list of their rows, a shared table read once for all."""
-    if isinstance(c, list):
-        table = shared_table(voter, m)
-        if table is None:
-            return [rep_dispatch(x, voter, m) for x in c]
-        for x in c:
-            check_candidate(x, m)
-        return list(table[c])
+    table, or a DP for this candidate alone (see the module docstring).
+
+    Given a list of candidates, a list of their rows, each route but the DPs
+    read once for all; a closed-form voter's rows are the shared read-only ones,
+    not copies."""
     model, obs = voter.model, voter.observation
+    if isinstance(c, list):
+        if closed_form(voter):
+            return uniform_rows(c, obs, m)
+        table = shared_table(voter, m)
+        if table is not None:
+            for x in c:
+                check_candidate(x, m)
+            return list(table[c])
+        if isinstance(model, MallowsModel) and not _conditioned(obs, m):
+            return mallows_partitioned_rows(c, model, obs, m)
+        return [rep_dispatch(x, voter, m) for x in c]
     if closed_form(voter):
         return rep_uniform(c, obs, m)  # checks c
     check_candidate(c, m)

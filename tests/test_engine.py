@@ -402,7 +402,7 @@ def test_a_uniform_poset_past_the_solve_first_size_keeps_its_bound(monkeypatch):
 
 
 def test_each_route_scores_as_expected_score_sums_and_as_the_parallel_mode(monkeypatch):
-    from mewvote import TruncatedRanking, rep
+    from mewvote import PartitionedPreference, TruncatedRanking, rep
 
     m, sigma = 6, tuple(range(6))
     uniform_poset = Voter(None, PartialOrder([(0, 1), (2, 4)]))
@@ -412,19 +412,33 @@ def test_each_route_scores_as_expected_score_sums_and_as_the_parallel_mode(monke
     voters = [uniform_poset, insertion_table, closed, tracked_dp]
     assert [rep.closed_form(v) for v in voters] == [False, False, True, False]
     assert [rep.shared_table(v, m) is not None for v in voters] == [True, True, False, False]
-    prof = Profile(candidate_set(*"abcdef"), voters)
+    # the one-pass list routes at m = 9: closed-form voters of every window kind,
+    # whose rows are shared per bucket, and Mallows voters given buckets
+    mallows = MallowsModel((4, 8, 0, 2, 7, 1, 6, 3, 5), 0.6)
+    buckets = [Voter(None, PartialChain((3, 8, 1))),
+               Voter(None, PartitionedPreference([[2, 7], [0, 4, 5]], missing=[1])),
+               Voter(None, TruncatedRanking((6, 0), (2,))),
+               Voter(None, TruncatedRanking((1, 2, 3, 4), (8, 7, 6, 5, 0))), Voter(),
+               Voter(mallows),
+               Voter(mallows, PartitionedPreference([[5, 1], [0, 2, 8], [3, 4, 6, 7]])),
+               Voter(mallows, TruncatedRanking((7,), (4, 0))),
+               Voter(mallows, PartialChain((2, 6, 4, 0, 1, 8, 5, 7, 3)))]
+    assert [rep.closed_form(v) for v in buckets] == [True] * 5 + [False] * 4
+    assert all(rep.shared_table(v, 9) is None for v in buckets)
     _fork_at_once(monkeypatch)
-    for rule_name in ("plurality", "borda"):
-        rule = make_rule(rule_name, m)
-        res = mew(prof, rule, pruning=False)
-        # one group per voter, added in profile order
-        assert res.expected_scores == {
-            name: sum(v.weight * expected_score(c, v, rule) for v in voters)
-            for c, name in enumerate(prof.candidates.ids)}, rule_name
-        for workers in (2, 4):
-            par = mew_parallel(prof, rule, workers=workers)
-            assert par.expected_scores == res.expected_scores, (rule_name, workers)
-            assert par.winners == res.winners
+    for prof in (Profile(candidate_set(*"abcdef"), voters),
+                 Profile(candidate_set(*"abcdefghi"), buckets)):
+        for rule_name in ("plurality", "borda"):
+            rule = make_rule(rule_name, prof.m)
+            res = mew(prof, rule, pruning=False)
+            # one group per voter, added in profile order
+            assert res.expected_scores == {
+                name: sum(v.weight * expected_score(c, v, rule) for v in prof.voters)
+                for c, name in enumerate(prof.candidates.ids)}, (prof.m, rule_name)
+            for workers in (2, 4):
+                par = mew_parallel(prof, rule, workers=workers)
+                assert par.expected_scores == res.expected_scores, (prof.m, rule_name, workers)
+                assert par.winners == res.winners
 
 
 def _fork_at_once(monkeypatch):

@@ -74,6 +74,22 @@ def test_validate_rejects_empty_bucket():
         validate(PartitionedPreference([[0], []]), ABC)
 
 
+def test_buckets_compare_and_hash_as_sets_of_candidates():
+    plain = PartitionedPreference([[1, 4], [0]], missing=[2, 3])
+    for same in (PartitionedPreference([[4, 1, 4], (0, 0)], missing={3, 2}),
+                 PartitionedPreference([iter([4, 1]), [0]], missing=[3, 2, 2]),
+                 PartitionedPreference([[np.int64(4), 1], [0]], missing=range(2, 4))):
+        assert same == plain and hash(same) == hash(plain)
+        assert same.buckets == ((1, 4), (0,)) and same.missing == (2, 3)
+    assert PartitionedPreference([[1, 4], [0]]) != plain  # missing counts
+    assert PartitionedPreference([[0], [1, 4]], missing=[2, 3]) != plain  # so does bucket order
+    # a duplicated item collapses before the layout counts the bucket
+    assert bucket_layout(PartitionedPreference([[1, 1, 4], [0]]), 5) \
+        == bucket_layout(PartitionedPreference([[1, 4], [0]]), 5)
+    with pytest.raises(UnknownCandidate):
+        PartitionedPreference([[0, "b"]])  # no index, as in a chain
+
+
 def test_extensions_of_one_top_item():
     p = PartialOrder([(0, 1), (0, 2)])
     assert linear_extensions(p, ABC) == [(0, 1, 2), (0, 2, 1)]

@@ -49,6 +49,21 @@ def test_roundtrip_identity_on_mixed_profile():
     assert serialize_profile(again) == text
 
 
+def test_a_saved_bucket_document_reserializes_byte_for_byte(tmp_path):
+    from mewvote import GenSpec, generate, load_profile, save_profile
+
+    prof = generate(GenSpec(kind="partitioned_partial", m=12, n=40, k=4, seed=3))
+    path = tmp_path / "a.profile"
+    save_profile(prof, path)
+    text = path.read_text()
+    assert serialize_profile(load_profile(path)) == text
+    # the items of a bucket and of ``missing`` are written sorted, in whatever order given
+    mixed = Profile(candidate_set(*"abcde"),
+                    [Voter(None, PartitionedPreference([[4, 1, 4], [0]], missing=[3, 2]))])
+    assert json.loads(serialize_profile(mixed))["voters"] == [
+        {"type": "partial_partitioned", "buckets": [["b", "e"], ["a"]], "missing": ["c", "d"]}]
+
+
 def test_roundtrip_identity_on_random_profiles():
     rng = np.random.default_rng(51)
     for _ in range(20):

@@ -502,6 +502,78 @@ def test_dispatch_lists_the_rows_of_a_candidate_list():
                 assert np.array_equal(row, rep_dispatch(c, voter, 4)), voter
 
 
+_LIST_CANDIDATES = [7, 0, 3, 3, 5, 1, 2, 4, 6]  # every candidate of m = 8, one twice
+_CLOSED_FORM_WINDOWS = {  # one uniform voter per kind of bucket window, at m = 8
+    "none": None,
+    "chain": PartialChain((5, 0, 3)),
+    "partial partition": PartitionedPreference([[6, 1], [2], [7, 0, 4]], missing=[3]),
+    "truncated with a middle": TruncatedRanking((2, 5), (1,)),
+    "truncated without a middle": TruncatedRanking((2, 5, 0, 7), (1, 3, 6, 4)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CLOSED_FORM_WINDOWS))
+def test_closed_form_list_rows_are_the_shared_read_only_rows(kind, monkeypatch):
+    obs = _CLOSED_FORM_WINDOWS[kind]
+    voter = Voter(None, obs)
+    calls = _count_calls(monkeypatch, "rep_uniform")
+    rows = rep_dispatch(_LIST_CANDIDATES, voter, 8)
+    assert calls == {"rep_uniform": 0}  # one read of the layout, no per-candidate call
+    assert len(rows) == len(_LIST_CANDIDATES)
+    for row, c in zip(rows, _LIST_CANDIDATES):
+        assert np.array_equal(row, rep_dispatch(c, voter, 8)), c
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
+    # a bucket's candidates, and every unplaced one, share one row object
+    windows = [bucket_window(c, obs, 8) for c in _LIST_CANDIDATES]
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        assert (rows[i] is rows[j]) == (windows[i] == windows[j]), (i, j)
+
+
+_MALLOWS8 = MallowsModel((3, 0, 6, 1, 7, 2, 5, 4), 0.6)
+_FULL_LAYOUTS = {  # every observation a Mallows voter reads one bucket row per candidate from
+    "none": None,
+    "full partition": PartitionedPreference([[6, 1, 2], [0], [4, 7, 3, 5]]),
+    "truncation": TruncatedRanking((2, 5), (1,)),
+    "complete chain": PartialChain((4, 1, 7, 0, 2, 6, 3, 5)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_FULL_LAYOUTS))
+def test_mallows_list_rows_take_one_pass_and_equal_the_single_rows(kind, monkeypatch):
+    obs = _FULL_LAYOUTS[kind]
+    voter = Voter(_MALLOWS8, obs)
+    assert rep.shared_table(voter, 8) is None
+    calls = _count_calls(monkeypatch, "rep_mallows_partitioned")
+    rows = rep_dispatch(_LIST_CANDIDATES, voter, 8)
+    assert calls == {"rep_mallows_partitioned": 0}
+    assert len(rows) == len(_LIST_CANDIDATES)
+    for row, c in zip(rows, _LIST_CANDIDATES):
+        assert np.array_equal(row, rep_dispatch(c, voter, 8)), c
+        assert np.array_equal(row, rep_mallows_partitioned(c, _MALLOWS8, obs, 8)), c
+    assert rows[2] is not rows[3]  # rows of a repeated candidate are separate arrays
+
+
+def test_list_rows_raise_as_the_single_path():
+    voters = [Voter(None, obs) for obs in _CLOSED_FORM_WINDOWS.values()] \
+        + [Voter(_MALLOWS8, obs) for obs in _FULL_LAYOUTS.values()]
+    for voter in voters:
+        for bad in (-1, 8, True, 1.0):
+            with pytest.raises(UnknownCandidate):
+                rep_dispatch(bad, voter, 8)
+            with pytest.raises(UnknownCandidate):
+                rep_dispatch([0, bad], voter, 8)
+    for solve in (lambda: rep_mallows_partitioned(0, _MALLOWS4, _LEAVES_ONE_OUT),
+                  lambda: rep.mallows_partitioned_rows([0, 2], _MALLOWS4, _LEAVES_ONE_OUT)):
+        with pytest.raises(ValidationError, match="not fully partitioned") as info:
+            solve()
+        assert type(info.value) is ValidationError
+    for solve in (lambda: rep_mallows_partitioned(4, _MALLOWS4, None),
+                  lambda: rep.mallows_partitioned_rows([0, 4], _MALLOWS4, None)):
+        with pytest.raises(UnknownCandidate):
+            solve()
+
+
 _LEAVES_ONE_OUT = PartitionedPreference([[2], [0]], missing=[1, 3])  # places 2 of 4
 
 

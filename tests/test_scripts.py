@@ -13,13 +13,13 @@ from mewvote.bench import CSV_COLUMNS
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str, returncode: int = 0) -> str:
+def run_script(name: str, *args: str, returncode: int = 0, stream: str = "stdout") -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == returncode, proc.stderr
-    return proc.stdout
+    return getattr(proc, stream)
 
 
 def test_bench_scaling_quick_writes_the_four_trend_csvs(tmp_path):
@@ -69,3 +69,18 @@ def test_differential_run_compared_with_itself_is_bit_identical(tmp_path):
     changed.write_text(json.dumps(doc))
     out = run_script("differential.py", "--compare", str(record), str(changed), returncode=1)
     assert "mew pruning=True grouping=True     winners  DIFFERS in 1 cases" in out
+
+    # both row records are compared: the per-candidate rows and one list call's rows,
+    # which are equal in every case
+    rows = [case["rows"] for case in doc.values() if "rows" in case]
+    assert len(rows) == 11 * 2 * 3 + 4 and all(r["lists"] == r["voters"] for r in rows)
+    err = run_script("differential.py", "--compare", str(record), str(record), stream="stderr")
+    assert err.splitlines() == [f"{'rep_dispatch rows':34} bit-identical",
+                                f"{'rep_dispatch list rows':34} bit-identical"]
+    row = next(r["lists"] for r in rows if not isinstance(r["lists"][0], str))[0][0]
+    row[0] = float.hex(float.fromhex(row[0]) + 0.5)
+    changed.write_text(json.dumps(doc))  # the changed winner set still fails it
+    err = run_script("differential.py", "--compare", str(record), str(changed), returncode=1,
+                     stream="stderr")
+    assert f"{'rep_dispatch rows':34} bit-identical" in err
+    assert f"{'rep_dispatch list rows':34} largest difference 0.5" in err
