@@ -116,7 +116,8 @@ class PartitionedPreference:
     partitioned preference; otherwise it is partially partitioned.  Each bucket
     and ``missing`` are held as sorted tuples without repeats, so equality and
     hashing ignore the order items are given in, as a set's would, at a
-    fraction of a frozenset's size.
+    fraction of a frozenset's size.  The hash is computed once, as a
+    frozenset's is: the caches keyed on an observation look it up per call.
     """
 
     buckets: tuple[tuple[int, ...], ...]
@@ -125,6 +126,10 @@ class PartitionedPreference:
     def __init__(self, buckets, missing=()):
         object.__setattr__(self, "buckets", tuple(map(_sorted_set, buckets)))
         object.__setattr__(self, "missing", _sorted_set(missing))
+        object.__setattr__(self, "_hash", hash((self.buckets, self.missing)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_fully_partitioned(self, m: int) -> bool:
         return not self.missing and sum(len(b) for b in self.buckets) == m

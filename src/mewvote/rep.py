@@ -38,8 +38,12 @@ Given a list of candidates, ``rep_dispatch`` returns their rows, equal to one
 call's per candidate, and reads each route but the DPs once for the list: the
 closed form's bucket layout (``uniform_rows``, which hands back the shared
 read-only rows themselves), the shared table, or one pass over a Mallows
-model's reference ranking (``mallows_partitioned_rows``).  Only the DP routes
-solve candidate by candidate inside a list call.
+model's reference ranking (``mallows_partitioned_rows``, which
+``rep_mallows_partitioned`` also reads, for a list of one; the pass,
+``_bucket_places``, is held per (sigma, observation, m), not the rows).  Only
+the DP routes solve candidate by candidate inside a list call.  A single
+call's row is the caller's own; list rows are read-only on every route but
+the DPs, and a caller writes none of them.
 
 A candidate index that is not an integer in 0..m-1 raises UnknownCandidate in
 ``rep_dispatch`` (in ``rep_uniform`` on the closed form), and one the model
@@ -382,43 +386,41 @@ def rep_mallows_partitioned(c: int, model: MallowsModel, fp: Observation | None,
     it depends on phi, the bucket's size and the target's index among the
     bucket's items in reference order, not on their labels.
     """
-    sigma = model.sigma
-    m = len(sigma) if m is None else m
-    window = bucket_window(c, fp, m)  # checks c; None without an observation
-    if fp is None:  # one bucket of all m
-        before, size, i = 0, m, sigma.index(c)
-    elif window is None or window[0] != m:
-        raise ValidationError("preference is not fully partitioned")
-    else:
-        _, before, size = window
-        layout = bucket_layout(fp, m)
-        i = sum(1 for x in sigma[:sigma.index(c)] if layout[x] == window)
-    probs = np.zeros(m)
-    probs[before:before + size] = _mallows_rank_row(model.phi, size, i)
-    return probs
+    return mallows_partitioned_rows([c], model, fp, m)[0]
 
 
 def mallows_partitioned_rows(cands: list[int], model: MallowsModel, fp: Observation | None,
-                             m: int | None = None) -> list[RankDistribution]:
-    """``rep_mallows_partitioned``'s rows of ``cands``, from one pass over sigma
-    that gives every candidate its bucket window and its index in the bucket."""
-    sigma = model.sigma
-    m = len(sigma) if m is None else m
+                             m: int | None = None) -> np.ndarray:
+    """``rep_mallows_partitioned``'s rows of ``cands``, one array row each, read
+    from ``_bucket_places``."""
+    m = len(model.sigma) if m is None else m
     for c in cands:
         check_candidate(c, m)
-    layout = ((m, 0, m),) * m if fp is None else bucket_layout(fp, m)  # None: one bucket
+    layout, index = _bucket_places(model.sigma, fp, m)
+    rows = np.zeros((len(cands), m))
+    for k, c in enumerate(cands):
+        _, before, size = layout[c]
+        rows[k, before:before + size] = _mallows_rank_row(model.phi, size, index[c])
+    return rows
+
+
+@lru_cache(maxsize=4096)
+def _bucket_places(sigma: Ranking, fp: Observation | None,
+                   m: int) -> tuple[tuple, tuple[int, ...]]:
+    """Every candidate's bucket window and its index among the bucket's items
+    in sigma order, from one pass over sigma; ``fp`` None is one bucket of
+    all m.  Built once per (sigma, observation, m), as a voter group's list
+    call and each single call of ``expected_score`` and ``mpw`` read it."""
+    layout = ((m, 0, m),) * m if fp is None else bucket_layout(fp, m)
     if None in layout:
         raise ValidationError("preference is not fully partitioned")
-    index = [0] * m  # index[x]: x's place among its bucket's items in sigma order
-    met: dict[tuple[int, int, int], int] = {}  # window -> its items met so far
+    index = [0] * m
+    met = [0] * m  # met[before]: the items met so far of the bucket that starts there
     for x in sigma:
-        index[x] = met.get(layout[x], 0)
-        met[layout[x]] = index[x] + 1
-    rows = np.zeros((len(cands), m))
-    for row, c in zip(rows, cands):
-        _, before, size = layout[c]
-        row[before:before + size] = _mallows_rank_row(model.phi, size, index[c])
-    return list(rows)
+        before = layout[x][1]
+        index[x] = met[before]
+        met[before] += 1
+    return layout, tuple(index)
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +594,13 @@ def shared_table(voter: Voter, m: int) -> np.ndarray | None:
 
 def rep_dispatch(c: int | list[int], voter: Voter, m: int) -> RankDistribution | list:
     """Route one (candidate, voter) query: the closed form, a row of the shared
-    table, or a DP for this candidate alone (see the module docstring).
+    table, or a DP for this candidate alone (see the module docstring).  The
+    row is the caller's own.
 
     Given a list of candidates, a list of their rows, each route but the DPs
-    read once for all; a closed-form voter's rows are the shared read-only ones,
-    not copies."""
+    read once for all.  List rows must not be written, on every route: the
+    closed form's are the cached rows themselves, shared by every caller, and
+    a table's or a Mallows voter's are views of one read-only array per call."""
     model, obs = voter.model, voter.observation
     if isinstance(c, list):
         if closed_form(voter):
@@ -605,10 +609,13 @@ def rep_dispatch(c: int | list[int], voter: Voter, m: int) -> RankDistribution |
         if table is not None:
             for x in c:
                 check_candidate(x, m)
-            return list(table[c])
-        if isinstance(model, MallowsModel) and not _conditioned(obs, m):
-            return mallows_partitioned_rows(c, model, obs, m)
-        return [rep_dispatch(x, voter, m) for x in c]
+            rows = table[c]
+        elif isinstance(model, MallowsModel) and not _conditioned(obs, m):
+            rows = mallows_partitioned_rows(c, model, obs, m)
+        else:
+            return [rep_dispatch(x, voter, m) for x in c]
+        rows.setflags(write=False)
+        return list(rows)
     if closed_form(voter):
         return rep_uniform(c, obs, m)  # checks c
     check_candidate(c, m)

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -83,6 +85,12 @@ def test_buckets_compare_and_hash_as_sets_of_candidates():
         assert same.buckets == ((1, 4), (0,)) and same.missing == (2, 3)
     assert PartitionedPreference([[1, 4], [0]]) != plain  # missing counts
     assert PartitionedPreference([[0], [1, 4]], missing=[2, 3]) != plain  # so does bucket order
+    # the hash, held once, follows a copy, a pickle and a replaced field
+    for copy in (pickle.loads(pickle.dumps(plain)),
+                 dataclasses.replace(plain, missing=[3, 2])):
+        assert copy == plain and hash(copy) == hash(plain)
+    moved = dataclasses.replace(plain, missing=[])
+    assert moved == PartitionedPreference([[4, 1], [0]]) and hash(moved) != hash(plain)
     # a duplicated item collapses before the layout counts the bucket
     assert bucket_layout(PartitionedPreference([[1, 1, 4], [0]]), 5) \
         == bucket_layout(PartitionedPreference([[1, 4], [0]]), 5)

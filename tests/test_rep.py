@@ -502,6 +502,20 @@ def test_dispatch_lists_the_rows_of_a_candidate_list():
                 assert np.array_equal(row, rep_dispatch(c, voter, 4)), voter
 
 
+def test_list_rows_refuse_writes_on_every_route_but_the_dps():
+    # closed form, uniform-poset table, insertion table, Mallows bucket rows:
+    # a list call's rows are shared and read-only, a single call's row is a copy
+    for voter in (Voter(None, PartialChain((0, 1))), Voter(None, PartialOrder([(0, 1), (2, 1)])),
+                  Voter(_MALLOWS4, PartialOrder([(0, 1)])), Voter(_MALLOWS4),
+                  Voter(_MALLOWS4, PartitionedPreference([[3, 0], [1, 2]]))):
+        for row, c in zip(rep_dispatch([3, 0, 2, 0], voter, 4), [3, 0, 2, 0]):
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.0
+            single = rep_dispatch(c, voter, 4)
+            assert single.flags.writeable and not np.shares_memory(single, row), voter
+            assert np.array_equal(single, row), voter
+
+
 _LIST_CANDIDATES = [7, 0, 3, 3, 5, 1, 2, 4, 6]  # every candidate of m = 8, one twice
 _CLOSED_FORM_WINDOWS = {  # one uniform voter per kind of bucket window, at m = 8
     "none": None,
@@ -545,13 +559,18 @@ def test_mallows_list_rows_take_one_pass_and_equal_the_single_rows(kind, monkeyp
     voter = Voter(_MALLOWS8, obs)
     assert rep.shared_table(voter, 8) is None
     calls = _count_calls(monkeypatch, "rep_mallows_partitioned")
+    rep._bucket_places.cache_clear()
     rows = rep_dispatch(_LIST_CANDIDATES, voter, 8)
     assert calls == {"rep_mallows_partitioned": 0}
     assert len(rows) == len(_LIST_CANDIDATES)
     for row, c in zip(rows, _LIST_CANDIDATES):
         assert np.array_equal(row, rep_dispatch(c, voter, 8)), c
         assert np.array_equal(row, rep_mallows_partitioned(c, _MALLOWS8, obs, 8)), c
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
     assert rows[2] is not rows[3]  # rows of a repeated candidate are separate arrays
+    # one pass over sigma served the list call and every single row after it
+    assert rep._bucket_places.cache_info().misses == 1
 
 
 def test_list_rows_raise_as_the_single_path():
